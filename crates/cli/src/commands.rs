@@ -72,8 +72,9 @@ pub fn run(cmd: Command) -> Result<(), String> {
                 return Err(format!("no CC-MAIN-*.warc/.cdxj pairs found in {}", dir.display()));
             }
             eprintln!("scanning {} WARC snapshot(s) ...", inputs.len());
-            let result = hv_pipeline::warcscan::scan_warc(&inputs)
+            let source = hv_pipeline::warcscan::WarcSource::open(&inputs)
                 .map_err(|e| format!("scanning WARC: {e}"))?;
+            let result = scan(&source, ScanOptions::new());
             match store {
                 Some(path) => {
                     result

@@ -12,7 +12,11 @@
 //! * [`run`] — the page-granular scan engine: workers pull individual
 //!   pages from an atomic cursor, each running one reusable
 //!   [`hv_core::Battery`]; per-domain partials merge commutatively, so
-//!   the result is byte-identical at any thread count.
+//!   the result is byte-identical at any thread count. Pages come from a
+//!   [`run::PageSource`]: the synthetic `hv_corpus::Archive` or a
+//!   [`warcscan::WarcSource`].
+//! * [`warcscan`] — the on-disk WARC/CDXJ page source: crawl discovery,
+//!   host grouping and positional record reads.
 //! * [`metrics`] — scan observability: throughput, per-phase timings and
 //!   per-check fire counts, collected lock-free and embedded in the store.
 //! * [`store`] — the embedded result database (the paper used Postgres; a
@@ -23,9 +27,9 @@
 //!   Tables 1–2, Figures 8–10 and 16–21 folded in a single O(records)
 //!   sweep, with the original per-query scans kept in
 //!   [`aggregate::legacy`] as the equivalence oracle.
-//! * [`outcome`] — the failure model: every listed page ends `Ok`,
-//!   `Degraded` (analyzed after retries), or `Quarantined` with a
-//!   structured [`ErrorClass`]; never a dead worker, never a silent skip.
+//! * [`outcome`] — the failure model: every listed page is analyzed,
+//!   analyzed after retries (degraded), or quarantined with a structured
+//!   [`ErrorClass`]; never a dead worker, never a silent skip.
 //! * [`chaos`] — the deterministic fault-injection harness (`hva chaos`):
 //!   scans under `hv_corpus::faults` injection and asserts that workers
 //!   survive, quarantine is thread-count-invariant, and fault-free pages
@@ -62,6 +66,6 @@ pub use format::{
     SegmentSummary, StoreHeader, StoreSink, StoreWriter,
 };
 pub use metrics::{FaultMetrics, PhaseNanos, ScanMetrics};
-pub use outcome::{ErrorClass, PageOutcome, QuarantineEntry, RetryPolicy};
+pub use outcome::{ErrorClass, QuarantineEntry};
 pub use run::{scan, scan_snapshots, scan_streamed, ScanOptions, ScanSummary};
 pub use store::{DomainYearRecord, LoadedStore, ResultStore, StoreFormat};

@@ -25,12 +25,11 @@ pub struct FaultMetrics {
     /// Fetch retries performed (each transient failure that was retried).
     #[serde(default)]
     pub retries: u64,
-    /// Total deterministic backoff the retries accounted, nanoseconds.
+    /// Retry backoff, nanoseconds. Retries never wait, so this stays 0; it
+    /// is kept so stores that carry it keep loading.
     #[serde(default)]
     pub backoff_nanos: u64,
-    /// Pages analyzed after ≥ 1 retry ([`PageOutcome::Degraded`]).
-    ///
-    /// [`PageOutcome::Degraded`]: crate::outcome::PageOutcome::Degraded
+    /// Pages analyzed after ≥ 1 retry (degraded).
     #[serde(default)]
     pub degraded: u64,
     /// Pages quarantined, all classes (== the per-class counters' sum).

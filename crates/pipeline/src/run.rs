@@ -1,16 +1,21 @@
 //! The Figure-6 pipeline orchestrator — a page-granular scan engine.
 //!
-//! Steps: (1) the driver performs every CDX metadata lookup up front and
-//! flattens the hits into one global page index (prefix sums over the
-//! per-domain page counts). Workers then pull *individual pages* from an
-//! atomic cursor — no domain is large enough to straggle, so the pool
-//! stays busy to the last page. Each worker owns one reusable
-//! [`hv_core::Battery`] (the rule set is boxed once, the findings buffer
-//! recycled page-to-page) and accumulates per-domain partials locally;
-//! (4) after the join the driver folds the partials into
-//! [`DomainYearRecord`]s. Every merge is commutative (set union, count
-//! addition, flag OR), so the result is byte-identical at any thread
-//! count.
+//! Steps: (1) the driver asks the [`PageSource`] for every (domain,
+//! snapshot) slot up front and flattens the listed pages into one global
+//! page index (prefix sums over the per-slot page counts). Workers then
+//! pull *individual pages* from an atomic cursor — no domain is large
+//! enough to straggle, so the pool stays busy to the last page. Each
+//! worker owns one reusable [`hv_core::Battery`] (the rule set is boxed
+//! once, the findings buffer recycled page-to-page) and accumulates
+//! per-slot partials locally; (4) after the join the driver folds the
+//! partials into [`DomainYearRecord`]s. Every merge is commutative (set
+//! union, count addition, flag OR), so the result is byte-identical at any
+//! thread count.
+//!
+//! The synthetic [`Archive`] and on-disk WARC/CDXJ crawls
+//! ([`crate::warcscan::WarcSource`]) are both page sources, so both run
+//! through the same worker pool, guards, fault plan, metrics and panic
+//! boundary.
 //!
 //! With [`ScanOptions::collect_metrics`] the workers additionally time
 //! each phase (fetch/decode/parse/check) and every individual rule into a
@@ -19,13 +24,12 @@
 
 use crate::format::{Resumed, SegmentSummary, StoreWriter};
 use crate::metrics::{PhaseNanos, ScanMetrics};
-use crate::outcome::{ErrorClass, QuarantineEntry, RetryPolicy};
+use crate::outcome::{ErrorClass, QuarantineEntry, FETCH_ATTEMPTS};
 use crate::store::{DomainYearRecord, ResultStore};
 use hv_core::context::CheckContext;
 use hv_core::{Battery, HvError, MitigationFlags, ViolationKind};
-use hv_corpus::archive::{CdxEntry, DomainCdx};
 use hv_corpus::faults::{FaultClass, FaultPlan, FetchFault, PageKey};
-use hv_corpus::{Archive, Snapshot};
+use hv_corpus::{Archive, DomainSnapshot, Snapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,9 +49,6 @@ use std::time::Instant;
 pub struct ScanOptions {
     /// Worker threads; 0 = one per available core.
     pub threads: usize,
-    /// Also compute the §4.4 auto-fix projection per domain (adds one
-    /// classification pass; cheap — it reuses the check results).
-    pub autofix_projection: bool,
     /// Print progress to stderr every this many pages (0 = silent).
     pub progress_every: usize,
     /// Collect [`ScanMetrics`] (per-phase timings, per-check fire counts)
@@ -57,8 +58,6 @@ pub struct ScanOptions {
     /// Deterministic fault injection over the read path (`None` = clean
     /// scan). See [`hv_corpus::faults`].
     pub faults: Option<FaultPlan>,
-    /// Retry policy for transient fetch errors.
-    pub retry: RetryPolicy,
     /// Record bodies larger than this are quarantined
     /// ([`ErrorClass::OversizedBody`]) instead of parsed.
     pub byte_budget: usize,
@@ -78,16 +77,14 @@ pub struct ScanOptions {
 pub const DEFAULT_BYTE_BUDGET: usize = 1 << 20;
 
 impl ScanOptions {
-    /// The defaults: all cores, auto-fix projection on, silent, no
-    /// metrics, no faults, three fetch attempts, 1 MiB byte budget.
+    /// The defaults: all cores, silent, no metrics, no faults, 1 MiB byte
+    /// budget.
     pub fn new() -> Self {
         ScanOptions {
             threads: 0,
-            autofix_projection: true,
             progress_every: 0,
             collect_metrics: false,
             faults: None,
-            retry: RetryPolicy::default(),
             byte_budget: DEFAULT_BYTE_BUDGET,
             resume: false,
             overwrite: false,
@@ -97,12 +94,6 @@ impl ScanOptions {
     /// Worker threads; 0 = one per available core.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Toggle the §4.4 auto-fix projection.
-    pub fn autofix_projection(mut self, on: bool) -> Self {
-        self.autofix_projection = on;
         self
     }
 
@@ -121,12 +112,6 @@ impl ScanOptions {
     /// Inject deterministic faults into the read path.
     pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Override the transient-error retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -155,18 +140,85 @@ impl Default for ScanOptions {
     }
 }
 
-/// Run the full measurement: every domain of the archive's top list, every
-/// snapshot, up to 100 pages each — the paper's §4.1 study execution.
-pub fn scan(archive: &Archive, opts: ScanOptions) -> ResultStore {
-    scan_snapshots(archive, &Snapshot::ALL, opts)
+/// Where a scan's pages come from: Figure 6's steps (1) and (2) behind one
+/// interface. The engine owns everything else — threads, guards, faults,
+/// quarantine, metrics and the record fold.
+pub trait PageSource: Sync {
+    /// What the source needs to read a slot's pages back.
+    type Locator: Sync;
+
+    /// The provenance the store records: `(seed, scale, universe)`.
+    fn provenance(&self) -> (u64, f64, usize);
+
+    /// Step (1): the (domain, snapshot) slots with pages in `snapshots`,
+    /// plus the entries quarantined while listing (index lines that do not
+    /// parse). Slot order is the order records are folded in.
+    fn list(&self, snapshots: &[Snapshot]) -> Listing<Self::Locator>;
+
+    /// Step (2): the body of the slot's `page`-th listed page, or why it
+    /// could not be read.
+    fn read(&self, slot: &Slot<Self::Locator>, page: usize) -> Result<Vec<u8>, ErrorClass>;
 }
 
-/// One (domain, snapshot) with a CDX hit — the unit the partials merge
-/// back into.
-struct Slot {
-    dom_idx: usize,
-    snap: Snapshot,
-    cdx: DomainCdx,
+/// One (domain, snapshot) with listed pages — the unit partials merge
+/// back into and the unit a [`DomainYearRecord`] describes.
+#[derive(Debug)]
+pub struct Slot<L> {
+    pub domain_id: u64,
+    pub domain_name: String,
+    pub rank: u32,
+    pub snapshot: Snapshot,
+    /// The listed pages' URLs; a page's index is its position here.
+    pub urls: Vec<String>,
+    pub locator: L,
+}
+
+/// What [`PageSource::list`] found.
+#[derive(Debug)]
+pub struct Listing<L> {
+    pub slots: Vec<Slot<L>>,
+    /// Listed entries that name no readable page. They count as listed
+    /// and quarantined in the metrics, but belong to no record.
+    pub quarantine: Vec<QuarantineEntry>,
+}
+
+/// The synthetic archive: CDX lookups for every domain of the top list,
+/// bodies generated on demand.
+impl PageSource for Archive {
+    type Locator = DomainSnapshot;
+
+    fn provenance(&self) -> (u64, f64, usize) {
+        (self.cfg.seed, self.cfg.scale, self.domains().len())
+    }
+
+    fn list(&self, snapshots: &[Snapshot]) -> Listing<DomainSnapshot> {
+        let mut slots = Vec::new();
+        for domain in self.domains() {
+            for &snapshot in snapshots {
+                if let Some(cdx) = self.cdx_lookup(domain, snapshot) {
+                    slots.push(Slot {
+                        domain_id: domain.id,
+                        domain_name: domain.name.clone(),
+                        rank: domain.rank,
+                        snapshot,
+                        urls: cdx.pages.into_iter().map(|e| e.url).collect(),
+                        locator: cdx.snapshot,
+                    });
+                }
+            }
+        }
+        Listing { slots, quarantine: Vec::new() }
+    }
+
+    fn read(&self, slot: &Slot<DomainSnapshot>, page: usize) -> Result<Vec<u8>, ErrorClass> {
+        Ok(self.fetch_page(&slot.locator, page))
+    }
+}
+
+/// Run the full measurement: every listed domain, every snapshot, up to
+/// 100 pages each — the paper's §4.1 study execution.
+pub fn scan<S: PageSource>(source: &S, opts: ScanOptions) -> ResultStore {
+    scan_snapshots(source, &Snapshot::ALL, opts)
 }
 
 /// A worker's running totals for one slot. All fields merge commutatively.
@@ -181,8 +233,8 @@ struct Partial {
     faulted: usize,
     /// Pages analyzed only after transient-error retries.
     degraded: usize,
-    /// Pages set aside with a structured reason.
-    quarantined: usize,
+    /// Pages set aside with a structured reason, one audit entry each.
+    quarantine: Vec<QuarantineEntry>,
 }
 
 impl Partial {
@@ -196,12 +248,16 @@ impl Partial {
         self.uses_math |= other.uses_math;
         self.faulted += other.faulted;
         self.degraded += other.degraded;
-        self.quarantined += other.quarantined;
+        self.quarantine.extend(other.quarantine);
     }
 }
 
 /// Run the measurement for a subset of snapshots.
-pub fn scan_snapshots(archive: &Archive, snapshots: &[Snapshot], opts: ScanOptions) -> ResultStore {
+pub fn scan_snapshots<S: PageSource>(
+    source: &S,
+    snapshots: &[Snapshot],
+    opts: ScanOptions,
+) -> ResultStore {
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     } else {
@@ -209,18 +265,11 @@ pub fn scan_snapshots(archive: &Archive, snapshots: &[Snapshot], opts: ScanOptio
     };
     let scan_start = Instant::now();
 
-    // Phase (1): all CDX lookups, driver-side. Cheap relative to parsing,
-    // and doing them up front yields the flat page index the workers need.
+    // Phase (1): the whole listing, driver-side. Cheap relative to
+    // parsing, and doing it up front yields the flat page index the
+    // workers need.
     let cdx_start = Instant::now();
-    let domains = archive.domains();
-    let mut slots: Vec<Slot> = Vec::new();
-    for (dom_idx, domain) in domains.iter().enumerate() {
-        for &snap in snapshots {
-            if let Some(cdx) = archive.cdx_lookup(domain, snap) {
-                slots.push(Slot { dom_idx, snap, cdx });
-            }
-        }
-    }
+    let Listing { slots, quarantine: listed_quarantine } = source.list(snapshots);
     let cdx_nanos = cdx_start.elapsed().as_nanos() as u64;
 
     // Prefix sums: global page index g lives in slot
@@ -229,7 +278,7 @@ pub fn scan_snapshots(archive: &Archive, snapshots: &[Snapshot], opts: ScanOptio
     let mut acc = 0usize;
     for slot in &slots {
         starts.push(acc);
-        acc += slot.cdx.pages.len();
+        acc += slot.urls.len();
     }
     starts.push(acc);
     let total_pages = acc;
@@ -245,7 +294,7 @@ pub fn scan_snapshots(archive: &Archive, snapshots: &[Snapshot], opts: ScanOptio
             let slots = &slots;
             let starts = &starts;
             handles.push(s.spawn(move || {
-                scan_worker(archive, slots, starts, total_pages, cursor, done, opts)
+                scan_worker(source, slots, starts, total_pages, cursor, done, opts)
             }));
         }
         // Per-page panics are caught *inside* the worker (quarantined as
@@ -255,31 +304,36 @@ pub fn scan_snapshots(archive: &Archive, snapshots: &[Snapshot], opts: ScanOptio
     });
 
     // Fold worker partials per slot. Each merge is commutative, and the
-    // quarantine union is re-sorted in `finalize`, so the worker order
-    // cannot show through.
+    // quarantine is handed to `finalize` in slot order (listing entries
+    // first), so neither the worker order nor the worker count can show
+    // through its stable sort.
     let mut merged: Vec<Partial> = (0..slots.len()).map(|_| Partial::default()).collect();
     let mut metrics = ScanMetrics::default();
-    let mut quarantine = Vec::new();
     for out in worker_out {
         for (slot_idx, partial) in out.partials {
             merged[slot_idx].absorb(partial);
         }
         metrics.merge(&out.metrics);
-        quarantine.extend(out.quarantine);
     }
 
-    let mut store = ResultStore::new(archive.cfg.seed, archive.cfg.scale, domains.len());
-    for (slot, partial) in slots.iter().zip(merged) {
-        store.records.push(make_record(archive, slot, partial, opts));
-    }
-    store.quarantine = quarantine;
-    store.finalize();
-
+    let (seed, scale, universe) = source.provenance();
+    let mut store = ResultStore::new(seed, scale, universe);
     if opts.collect_metrics {
+        for entry in &listed_quarantine {
+            metrics.faults.bump_quarantine(entry.class);
+        }
         metrics.threads = threads;
         metrics.phases.cdx = cdx_nanos;
         metrics.domain_snapshots = slots.len() as u64;
-        metrics.pages_listed = total_pages as u64;
+        metrics.pages_listed = (total_pages + listed_quarantine.len()) as u64;
+    }
+    store.quarantine = listed_quarantine;
+    for (slot, partial) in slots.into_iter().zip(merged) {
+        fold_slot(&mut store, slot, partial);
+    }
+    store.finalize();
+
+    if opts.collect_metrics {
         metrics.wall_nanos = scan_start.elapsed().as_nanos() as u64;
         store.metrics = Some(metrics);
     }
@@ -311,8 +365,8 @@ pub struct ScanSummary {
 /// holds one snapshot's records, not the whole run. Each segment embeds
 /// its snapshot's quarantine entries and is fsynced as it lands, so a
 /// crash at any point leaves a valid prefix that
-/// [`ScanOptions::resume`] can continue — and because generation is
-/// seed-deterministic, the resumed store is byte-identical to an
+/// [`ScanOptions::resume`] can continue — and because every source is
+/// deterministic, the resumed store is byte-identical to an
 /// uninterrupted run. Scanned-but-empty snapshots get an (empty) segment
 /// too, so the completed set on disk is exact.
 ///
@@ -321,8 +375,8 @@ pub struct ScanSummary {
 /// [`ResultStore::save_v1`] (modulo metric timings, and modulo empty
 /// segments, which `save_v1` cannot distinguish from unscanned ones) at
 /// any thread count.
-pub fn scan_streamed(
-    archive: &Archive,
+pub fn scan_streamed<S: PageSource>(
+    source: &S,
     snapshots: &[Snapshot],
     opts: ScanOptions,
     path: &std::path::Path,
@@ -332,9 +386,7 @@ pub fn scan_streamed(
     snaps.sort();
     snaps.dedup();
 
-    let seed = archive.cfg.seed;
-    let scale = archive.cfg.scale;
-    let universe = archive.domains().len();
+    let (seed, scale, universe) = source.provenance();
     let (mut writer, truncated_bytes) = if opts.resume {
         match StoreWriter::resume(path, seed, scale, universe)? {
             Resumed::Complete { segments } => {
@@ -364,7 +416,7 @@ pub fn scan_streamed(
         if completed.contains(&snap) {
             continue;
         }
-        let store = scan_snapshots(archive, &[snap], opts);
+        let store = scan_snapshots(source, &[snap], opts);
         // Empty segments are written too: on disk, "scanned and found
         // nothing" must stay distinguishable from "never scanned", or a
         // resume would re-scan (and a reader under-count) the snapshot.
@@ -393,7 +445,6 @@ pub fn scan_streamed(
 /// Everything one worker hands back at the join.
 struct WorkerOut {
     partials: BTreeMap<usize, Partial>,
-    quarantine: Vec<QuarantineEntry>,
     metrics: ScanMetrics,
 }
 
@@ -406,8 +457,6 @@ struct Fetched {
     invalid_utf8: bool,
     /// Transient-error retries performed.
     retries: u32,
-    /// Deterministic backoff accounted across those retries.
-    backoff_nanos: u64,
 }
 
 /// What the guarded per-page analysis concluded. Produced *inside* the
@@ -424,13 +473,13 @@ enum PageAnalysis {
 }
 
 /// The worker loop: pull global page indices until the cursor runs dry.
-/// Returns the per-slot partials, quarantined pages, and this worker's
+/// Returns the per-slot partials (quarantine included) and this worker's
 /// metrics share. No page input can kill the worker: fetch errors are
 /// retried then quarantined, oversized/undecodable bodies are classified,
 /// and parse/check panics are caught at the page boundary.
-fn scan_worker(
-    archive: &Archive,
-    slots: &[Slot],
+fn scan_worker<S: PageSource>(
+    source: &S,
+    slots: &[Slot<S::Locator>],
     starts: &[usize],
     total_pages: usize,
     cursor: &AtomicUsize,
@@ -440,7 +489,6 @@ fn scan_worker(
     let mut battery = Battery::full();
     let mut stats = opts.collect_metrics.then(|| battery.new_stats());
     let mut partials: BTreeMap<usize, Partial> = BTreeMap::new();
-    let mut quarantine = Vec::new();
     let mut wm = ScanMetrics::default();
     let mut phases = PhaseNanos::default();
 
@@ -453,24 +501,23 @@ fn scan_worker(
         // safe; the last entry (total_pages) is > g, bounding the slot.
         let slot_idx = starts.partition_point(|&s| s <= g) - 1;
         let slot = &slots[slot_idx];
-        let entry = &slot.cdx.pages[g - starts[slot_idx]];
+        let page = g - starts[slot_idx];
         let partial = partials.entry(slot_idx).or_default();
 
         // Phase (2): fetch the record body (fault-injected when asked,
         // with bounded retry for transient errors).
         let t = opts.collect_metrics.then(Instant::now);
-        let fetched = fetch_page(archive, slot, entry, opts);
+        let fetched = fetch_page(source, slot, page, opts);
         lap(t, &mut phases.fetch);
         partial.faulted += fetched.faulted as usize;
         wm.faults.injected += fetched.faulted as u64;
         wm.faults.invalid_utf8_injected += fetched.invalid_utf8 as u64;
         wm.faults.retries += u64::from(fetched.retries);
-        wm.faults.backoff_nanos += fetched.backoff_nanos;
 
         let body = match fetched.body {
             Ok(body) => body,
             Err(class) => {
-                quarantine_page(class, slot, entry, partial, &mut wm, &mut quarantine);
+                quarantine_page(class, slot, page, partial, &mut wm);
                 bump_progress(done, opts, total_pages);
                 continue;
             }
@@ -481,7 +528,7 @@ fn scan_worker(
         // budget, and bodies that are (corrupt) compressed streams rather
         // than HTML.
         if let Some(class) = body_guard(&body, opts.byte_budget) {
-            quarantine_page(class, slot, entry, partial, &mut wm, &mut quarantine);
+            quarantine_page(class, slot, page, partial, &mut wm);
             bump_progress(done, opts, total_pages);
             continue;
         }
@@ -526,14 +573,7 @@ fn scan_worker(
         match analysis {
             Err(_panic) => {
                 wm.faults.panics_caught += 1;
-                quarantine_page(
-                    ErrorClass::ParserPanic,
-                    slot,
-                    entry,
-                    partial,
-                    &mut wm,
-                    &mut quarantine,
-                );
+                quarantine_page(ErrorClass::ParserPanic, slot, page, partial, &mut wm);
             }
             Ok(PageAnalysis::RejectedUtf8) => {
                 wm.pages_rejected_utf8 += 1;
@@ -562,54 +602,55 @@ fn scan_worker(
         wm.battery = stats;
     }
     wm.phases = phases;
-    WorkerOut { partials, quarantine, metrics: wm }
+    WorkerOut { partials, metrics: wm }
 }
 
 /// Fetch one record body, applying the fault plan (when configured) and
-/// the bounded-retry policy for transient errors. Pure bookkeeping comes
-/// back in [`Fetched`]; the caller applies it to partials and metrics.
-fn fetch_page(archive: &Archive, slot: &Slot, entry: &CdxEntry, opts: ScanOptions) -> Fetched {
-    let clean = || archive.fetch_page(&slot.cdx.snapshot, entry.page_index);
-    let mut out = Fetched {
-        body: Ok(Vec::new()),
-        faulted: false,
-        invalid_utf8: false,
-        retries: 0,
-        backoff_nanos: 0,
-    };
+/// up to [`FETCH_ATTEMPTS`] attempts for transient errors. Pure
+/// bookkeeping comes back in [`Fetched`]; the caller applies it to
+/// partials and metrics.
+fn fetch_page<S: PageSource>(
+    source: &S,
+    slot: &Slot<S::Locator>,
+    page: usize,
+    opts: ScanOptions,
+) -> Fetched {
     let Some(plan) = opts.faults else {
-        out.body = Ok(clean());
-        return out;
+        let body = source.read(slot, page);
+        return Fetched { body, faulted: false, invalid_utf8: false, retries: 0 };
     };
 
     let key = PageKey {
-        domain_id: slot.cdx.snapshot.domain_id,
-        snapshot_index: slot.snap.index() as u64,
-        page_index: entry.page_index as u64,
+        domain_id: slot.domain_id,
+        snapshot_index: slot.snapshot.index() as u64,
+        page_index: page as u64,
     };
-    if let Some(fault) = plan.fault_for(key) {
-        out.faulted = true;
-        out.invalid_utf8 = fault.class == FaultClass::InvalidUtf8;
-    }
+    let fault = plan.fault_for(key);
+    let mut out = Fetched {
+        body: Ok(Vec::new()),
+        faulted: fault.is_some(),
+        invalid_utf8: fault.is_some_and(|f| f.class == FaultClass::InvalidUtf8),
+        retries: 0,
+    };
 
+    // A failed read of the true body outranks whatever the plan does
+    // with it: the page is unreadable either way.
+    let mut read_error = None;
     let mut attempt = 1u32;
     out.body = loop {
+        let clean = || {
+            source.read(slot, page).unwrap_or_else(|class| {
+                read_error = Some(class);
+                Vec::new()
+            })
+        };
         match plan.apply(key, attempt, opts.byte_budget, clean) {
-            Ok(body) => break Ok(body),
-            Err(FetchFault::Transient) => {
-                if attempt >= opts.retry.max_attempts {
-                    break Err(ErrorClass::TransientIo);
-                }
+            Ok(body) => break read_error.map_or(Ok(body), Err),
+            Err(FetchFault::Transient) if attempt < FETCH_ATTEMPTS => {
                 out.retries += 1;
-                let backoff = opts.retry.backoff_nanos(attempt);
-                out.backoff_nanos += backoff;
-                if backoff > 0 {
-                    // Deterministic accounting either way; actual sleeping
-                    // only when a base was configured (real I/O).
-                    std::thread::sleep(std::time::Duration::from_nanos(backoff));
-                }
                 attempt += 1;
             }
+            Err(FetchFault::Transient) => break Err(ErrorClass::TransientIo),
             // Deterministic corruption: retrying cannot help.
             Err(FetchFault::MalformedCdx) => break Err(ErrorClass::MalformedCdx),
             Err(FetchFault::Warc(_)) => break Err(ErrorClass::TruncatedRecord),
@@ -631,23 +672,21 @@ fn body_guard(body: &[u8], byte_budget: usize) -> Option<ErrorClass> {
     None
 }
 
-/// Set one page aside: count it on the slot and in the metrics, and keep
-/// the per-page audit entry.
-fn quarantine_page(
+/// Set one page aside: count it in the metrics and keep the per-page
+/// audit entry on the slot's partial.
+fn quarantine_page<L>(
     class: ErrorClass,
-    slot: &Slot,
-    entry: &CdxEntry,
+    slot: &Slot<L>,
+    page: usize,
     partial: &mut Partial,
     wm: &mut ScanMetrics,
-    quarantine: &mut Vec<QuarantineEntry>,
 ) {
-    partial.quarantined += 1;
     wm.faults.bump_quarantine(class);
-    quarantine.push(QuarantineEntry {
-        domain_id: slot.cdx.snapshot.domain_id,
-        snapshot: slot.snap,
-        page_index: entry.page_index,
-        url: entry.url.clone(),
+    partial.quarantine.push(QuarantineEntry {
+        domain_id: slot.domain_id,
+        snapshot: slot.snapshot,
+        page_index: page,
+        url: slot.urls[page].clone(),
         class,
     });
 }
@@ -669,32 +708,23 @@ fn bump_progress(done: &AtomicUsize, opts: ScanOptions, total_pages: usize) {
     }
 }
 
-/// Fold one slot's merged partial into the final record.
-fn make_record(
-    archive: &Archive,
-    slot: &Slot,
-    partial: Partial,
-    opts: ScanOptions,
-) -> DomainYearRecord {
-    let domain = &archive.domains()[slot.dom_idx];
-    let kinds_after_autofix = if opts.autofix_projection {
-        // §4.4's projection: the automatic pass removes the Automatic
-        // kinds; Manual kinds remain.
-        partial
-            .kinds
-            .iter()
-            .copied()
-            .filter(|k| k.fixability() == hv_core::Fixability::Manual)
-            .collect()
-    } else {
-        BTreeSet::new()
-    };
-    DomainYearRecord {
-        domain_id: domain.id,
-        domain_name: domain.name.clone(),
-        rank: domain.rank,
-        snapshot: slot.snap,
-        pages_found: slot.cdx.pages.len(),
+/// Fold one slot's merged partial into the store: its record, then its
+/// quarantine entries.
+fn fold_slot<L>(store: &mut ResultStore, slot: Slot<L>, partial: Partial) {
+    // §4.4's projection: the automatic pass removes the Automatic kinds;
+    // Manual kinds remain.
+    let kinds_after_autofix = partial
+        .kinds
+        .iter()
+        .copied()
+        .filter(|k| k.fixability() == hv_core::Fixability::Manual)
+        .collect();
+    store.records.push(DomainYearRecord {
+        domain_id: slot.domain_id,
+        domain_name: slot.domain_name,
+        rank: slot.rank,
+        snapshot: slot.snapshot,
+        pages_found: slot.urls.len(),
         pages_analyzed: partial.analyzed,
         kinds: partial.kinds,
         page_counts: partial.page_counts,
@@ -703,8 +733,9 @@ fn make_record(
         uses_math: partial.uses_math,
         pages_faulted: partial.faulted,
         pages_degraded: partial.degraded,
-        pages_quarantined: partial.quarantined,
-    }
+        pages_quarantined: partial.quarantine.len(),
+    });
+    store.quarantine.extend(partial.quarantine);
 }
 
 /// Borrowing decode: validation only, no copy — the parse reads straight
@@ -719,11 +750,26 @@ fn decode(bytes: &[u8]) -> Option<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warcscan::WarcSource;
     use hv_core::autofix;
     use hv_corpus::CorpusConfig;
 
     fn tiny_archive() -> Archive {
         Archive::new(CorpusConfig { seed: 1234, scale: 0.002 })
+    }
+
+    /// The archive's first domains in `snaps`, exported to WARC/CDXJ and
+    /// opened as a second source for the same pages.
+    fn warc_copy(archive: &Archive, snaps: &[Snapshot], name: &str) -> WarcSource {
+        let dir = std::env::temp_dir().join(format!("hv_run_warc_{name}"));
+        std::fs::remove_dir_all(&dir).ok();
+        for &snap in snaps {
+            hv_corpus::warc::export_snapshot(archive, snap, &dir, 15).unwrap();
+        }
+        let source = WarcSource::open(&crate::warcscan::discover(&dir).unwrap()).unwrap();
+        // The open handles keep the files readable after the unlink.
+        std::fs::remove_dir_all(&dir).ok();
+        source
     }
 
     #[test]
@@ -894,50 +940,62 @@ mod tests {
 
     #[test]
     fn faulted_scan_accounts_for_every_listed_page() {
-        let archive = tiny_archive();
-        let plan = FaultPlan::new(5, 0.1).unwrap();
-        let opts = ScanOptions::new().threads(3).collect_metrics(true).inject_faults(plan);
-        let store = scan_snapshots(&archive, &[Snapshot::ALL[2], Snapshot::ALL[6]], opts);
-        let m = store.metrics.as_ref().unwrap();
+        fn check<S: PageSource>(source: &S, snaps: &[Snapshot]) {
+            let plan = FaultPlan::new(5, 0.1).unwrap();
+            let opts = ScanOptions::new().threads(3).collect_metrics(true).inject_faults(plan);
+            let store = scan_snapshots(source, snaps, opts);
+            let m = store.metrics.as_ref().unwrap();
 
-        // Nothing slips: every listed page is analyzed, filtered, or
-        // quarantined with a reason.
-        assert_eq!(m.pages_analyzed + m.pages_rejected_utf8 + m.faults.quarantined, m.pages_listed);
-        assert!(m.faults.injected > 0, "a 10% rate must fault something");
-        assert_eq!(
-            m.faults.quarantined,
-            m.faults.malformed_cdx
-                + m.faults.transient_io
-                + m.faults.truncated_record
-                + m.faults.corrupt_compression
-                + m.faults.oversized_body
-                + m.faults.parser_panic
-        );
-        // Counters and audit entries reconcile with the records.
-        let rec_faulted: u64 = store.records.iter().map(|r| r.pages_faulted as u64).sum();
-        let rec_degraded: u64 = store.records.iter().map(|r| r.pages_degraded as u64).sum();
-        let rec_quarantined: u64 = store.records.iter().map(|r| r.pages_quarantined as u64).sum();
-        assert_eq!(rec_faulted, m.faults.injected);
-        assert_eq!(rec_degraded, m.faults.degraded);
-        assert_eq!(rec_quarantined, m.faults.quarantined);
-        assert_eq!(store.quarantine.len() as u64, m.faults.quarantined);
-        // The default retry policy (3 attempts vs 1–4 planned failures)
-        // exercises both the recovery and the exhaustion path.
-        assert!(m.faults.degraded > 0, "some transient faults must recover");
-        assert!(m.faults.transient_io > 0, "some transient faults must exhaust");
-        assert_eq!(m.faults.parser_panic, 0, "no input may panic the parser");
+            // Nothing slips: every listed page is analyzed, filtered, or
+            // quarantined with a reason.
+            assert_eq!(
+                m.pages_analyzed + m.pages_rejected_utf8 + m.faults.quarantined,
+                m.pages_listed
+            );
+            assert!(m.faults.injected > 0, "a 10% rate must fault something");
+            assert_eq!(
+                m.faults.quarantined,
+                m.faults.malformed_cdx
+                    + m.faults.transient_io
+                    + m.faults.truncated_record
+                    + m.faults.corrupt_compression
+                    + m.faults.oversized_body
+                    + m.faults.parser_panic
+            );
+            // Counters and audit entries reconcile with the records.
+            let rec_faulted: u64 = store.records.iter().map(|r| r.pages_faulted as u64).sum();
+            let rec_degraded: u64 = store.records.iter().map(|r| r.pages_degraded as u64).sum();
+            let rec_quarantined: u64 =
+                store.records.iter().map(|r| r.pages_quarantined as u64).sum();
+            assert_eq!(rec_faulted, m.faults.injected);
+            assert_eq!(rec_degraded, m.faults.degraded);
+            assert_eq!(rec_quarantined, m.faults.quarantined);
+            assert_eq!(store.quarantine.len() as u64, m.faults.quarantined);
+            // Three attempts vs 1–4 planned failures exercise both the
+            // recovery and the exhaustion path.
+            assert!(m.faults.degraded > 0, "some transient faults must recover");
+            assert!(m.faults.transient_io > 0, "some transient faults must exhaust");
+            assert_eq!(m.faults.parser_panic, 0, "no input may panic the parser");
+        }
+        let archive = tiny_archive();
+        let snaps = [Snapshot::ALL[2], Snapshot::ALL[6]];
+        check(&archive, &snaps);
+        check(&warc_copy(&archive, &snaps, "accounting"), &snaps);
     }
 
     #[test]
     fn faulted_scan_is_thread_count_invariant() {
+        fn check<S: PageSource>(source: &S, snaps: &[Snapshot]) {
+            let opts = ScanOptions::new().inject_faults(FaultPlan::new(11, 0.3).unwrap());
+            let a = scan_snapshots(source, snaps, opts.threads(1));
+            let b = scan_snapshots(source, snaps, opts.threads(7));
+            assert!(!a.quarantine.is_empty(), "30% faults must quarantine pages");
+            assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        }
         let archive = tiny_archive();
-        let plan = FaultPlan::new(11, 0.3).unwrap();
         let snaps = [Snapshot::ALL[4]];
-        let opts = ScanOptions::new().inject_faults(plan);
-        let a = scan_snapshots(&archive, &snaps, opts.threads(1));
-        let b = scan_snapshots(&archive, &snaps, opts.threads(7));
-        assert!(!a.quarantine.is_empty(), "30% faults must quarantine pages");
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        check(&archive, &snaps);
+        check(&warc_copy(&archive, &snaps, "threads"), &snaps);
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //! data.
 //!
 //! `hva gen --warc` exports the synthetic archive in standard form; this
-//! module runs the measurement over any such pair (or over extracts pulled
-//! from the real Common Crawl with its index client), producing the same
-//! [`ResultStore`] the virtual pipeline fills — so every table/figure
-//! renderer works on real data unchanged.
+//! module turns any such pair (or extracts pulled from the real Common
+//! Crawl with its index client) into a [`PageSource`], so the measurement
+//! runs on the same engine as the virtual pipeline and fills the same
+//! [`crate::ResultStore`] — every table/figure renderer works on real data
+//! unchanged.
 
 use crate::outcome::{ErrorClass, QuarantineEntry};
-use crate::run::DEFAULT_BYTE_BUDGET;
-use crate::store::{DomainYearRecord, ResultStore};
-use hv_core::context::CheckContext;
-use hv_core::{Battery, HvError};
-use hv_corpus::warc::{load_cdxj_lenient, read_record, CdxjLine};
+use crate::run::{Listing, PageSource, Slot};
+use hv_core::HvError;
+use hv_corpus::warc::{load_cdxj_lenient, parse_record, BadCdxjLine, CdxjLine, MAX_RECORD_LENGTH};
 use hv_corpus::Snapshot;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// A (WARC, CDXJ) file pair associated with a snapshot.
@@ -28,7 +28,9 @@ pub struct WarcInput {
 
 /// Discover `<CC-MAIN-*>.warc` / `.cdxj` pairs in a directory (the layout
 /// `hva gen --warc` produces). Snapshot association comes from the
-/// crawl-id file stem.
+/// crawl-id file stem. Inputs come back sorted by (snapshot, WARC path):
+/// two crawls of one year stay in a fixed order whatever order the
+/// directory lists them in.
 pub fn discover(dir: &Path) -> Result<Vec<WarcInput>, HvError> {
     let mut inputs = Vec::new();
     let listing = std::fs::read_dir(dir)
@@ -46,7 +48,7 @@ pub fn discover(dir: &Path) -> Result<Vec<WarcInput>, HvError> {
             inputs.push(WarcInput { warc: path, cdx, snapshot });
         }
     }
-    inputs.sort_by_key(|i| i.snapshot);
+    inputs.sort_by(|a, b| (a.snapshot, &a.warc).cmp(&(b.snapshot, &b.warc)));
     Ok(inputs)
 }
 
@@ -56,130 +58,116 @@ fn snapshot_from_crawl_id(stem: &str) -> Option<Snapshot> {
     Snapshot::from_year(year)
 }
 
-/// Scan WARC inputs into a [`ResultStore`]. Pages are grouped into domains
-/// by URL host; domain ids are stable hashes of the host.
+/// WARC/CDXJ crawls as a [`PageSource`]. Pages are grouped into domains by
+/// URL host (one slot per crawl and host); domain ids are stable hashes of
+/// the host, and the store's universe is the number of distinct hosts.
 ///
-/// Real crawl dumps are never entirely clean, so one poisoned record must
-/// not abort the scan: malformed CDXJ lines, unreadable WARC records,
-/// oversized or compressed bodies, and parser panics are all quarantined
-/// per page with a structured [`ErrorClass`]; only I/O failures on the
-/// files themselves (open errors) abort. Non-UTF-8 bodies are *rejected*,
-/// not quarantined — that is the study's §4.1 filter at work.
-pub fn scan_warc(inputs: &[WarcInput]) -> Result<ResultStore, HvError> {
-    let mut store = ResultStore::new(0, 0.0, 0);
-    let mut domains_seen: BTreeSet<String> = BTreeSet::new();
-    // One battery for the whole scan: the WARC path is single-threaded.
-    let mut battery = Battery::full();
-    for input in inputs {
-        let (index, malformed) = load_cdxj_lenient(&input.cdx)
-            .map_err(|e| HvError::io(format!("reading CDXJ index {}", input.cdx.display()), e))?;
-        // Index lines the CDXJ parser refused: quarantined under a
-        // synthetic per-file pseudo-domain (there is no trustworthy URL to
-        // group by), keyed by line number for the audit trail.
-        for (line_no, _raw) in &malformed {
-            store.quarantine.push(QuarantineEntry {
-                domain_id: 0,
-                snapshot: input.snapshot,
-                page_index: *line_no,
-                url: format!("cdxj:{}#L{line_no}", input.cdx.display()),
-                class: ErrorClass::MalformedCdx,
-            });
-        }
-        let mut file = std::fs::File::open(&input.warc)
-            .map_err(|e| HvError::io(format!("opening WARC {}", input.warc.display()), e))?;
-        // Group the index lines by host.
-        let mut by_host: BTreeMap<String, Vec<&CdxjLine>> = BTreeMap::new();
-        for line in &index {
-            by_host.entry(host_of(&line.url)).or_default().push(line);
-        }
-        for (host, lines) in by_host {
-            domains_seen.insert(host.clone());
-            let domain_id = hv_corpus::rng::str_key(&host);
-            let mut rec = DomainYearRecord {
-                domain_id,
-                domain_name: host,
-                rank: 0,
-                snapshot: input.snapshot,
-                pages_found: lines.len(),
-                pages_analyzed: 0,
-                kinds: BTreeSet::new(),
-                page_counts: BTreeMap::new(),
-                mitigations: hv_core::MitigationFlags::default(),
-                kinds_after_autofix: BTreeSet::new(),
-                uses_math: false,
-                pages_faulted: 0,
-                pages_degraded: 0,
-                pages_quarantined: 0,
-            };
-            for (page_index, line) in lines.into_iter().enumerate() {
-                let mut quarantine = |rec: &mut DomainYearRecord, class: ErrorClass| {
-                    rec.pages_quarantined += 1;
-                    store.quarantine.push(QuarantineEntry {
-                        domain_id,
-                        snapshot: input.snapshot,
-                        page_index,
-                        url: line.url.clone(),
-                        class,
-                    });
-                };
-                let record = match read_record(&mut file, line.offset, line.length) {
-                    Ok(record) => record,
-                    Err(_warc_err) => {
-                        quarantine(&mut rec, ErrorClass::TruncatedRecord);
-                        continue;
-                    }
-                };
-                if record.body.len() > DEFAULT_BYTE_BUDGET {
-                    quarantine(&mut rec, ErrorClass::OversizedBody);
-                    continue;
-                }
-                if record.body.starts_with(&[0x1f, 0x8b]) {
-                    quarantine(&mut rec, ErrorClass::CorruptCompression);
-                    continue;
-                }
-                // Parse + check inside the panic boundary; `rec` is only
-                // updated after a clean return, so a caught panic cannot
-                // leave half-applied counts.
-                let analysis = catch_unwind(AssertUnwindSafe(|| {
-                    let text = match spec_html::decoder::decode_utf8(&record.body) {
-                        spec_html::decoder::Decoded::Utf8(t) => t,
-                        spec_html::decoder::Decoded::NotUtf8 { .. } => return None,
-                    };
-                    let cx = CheckContext::new(text);
-                    let report = battery.run_ref(&cx);
-                    let uses_math = cx
-                        .parse
-                        .dom
-                        .all_elements()
-                        .any(|id| cx.parse.dom.element(id).is_some_and(|e| e.name == "math"));
-                    Some((report.kinds(), report.mitigations, uses_math))
-                }));
-                match analysis {
-                    Err(_panic) => quarantine(&mut rec, ErrorClass::ParserPanic),
-                    Ok(None) => {} // §4.1 UTF-8 rejection — not a failure
-                    Ok(Some((kinds, mitigations, uses_math))) => {
-                        rec.pages_analyzed += 1;
-                        for k in kinds {
-                            rec.kinds.insert(k);
-                            *rec.page_counts.entry(k).or_insert(0) += 1;
-                        }
-                        rec.mitigations.merge(mitigations);
-                        rec.uses_math |= uses_math;
-                    }
-                }
+/// Real crawl dumps are never entirely clean: malformed CDXJ lines are
+/// quarantined while listing, and unreadable records come back as
+/// [`ErrorClass::TruncatedRecord`] for the engine to quarantine. Only I/O
+/// failures on the files themselves abort, when the source is opened.
+#[derive(Debug)]
+pub struct WarcSource {
+    crawls: Vec<Crawl>,
+    universe: usize,
+}
+
+#[derive(Debug)]
+struct Crawl {
+    input: WarcInput,
+    /// Read with positional reads only, so workers share it without a
+    /// shared seek cursor.
+    warc: File,
+    hosts: BTreeMap<String, Vec<CdxjLine>>,
+    malformed: Vec<BadCdxjLine>,
+}
+
+/// Where a slot's records live: the crawl, and each page's (offset,
+/// length) byte range in its WARC file.
+#[derive(Debug)]
+pub struct WarcPages {
+    crawl: usize,
+    ranges: Vec<(u64, u64)>,
+}
+
+impl WarcSource {
+    /// Load every input's CDXJ index and open its WARC file, in input
+    /// order (the order slots are listed in).
+    pub fn open(inputs: &[WarcInput]) -> Result<WarcSource, HvError> {
+        let mut crawls = Vec::with_capacity(inputs.len());
+        let mut hosts_seen: BTreeSet<String> = BTreeSet::new();
+        for input in inputs {
+            let (index, malformed) = load_cdxj_lenient(&input.cdx).map_err(|e| {
+                HvError::io(format!("reading CDXJ index {}", input.cdx.display()), e)
+            })?;
+            let warc = File::open(&input.warc)
+                .map_err(|e| HvError::io(format!("opening WARC {}", input.warc.display()), e))?;
+            let mut hosts: BTreeMap<String, Vec<CdxjLine>> = BTreeMap::new();
+            for line in index {
+                hosts.entry(host_of(&line.url)).or_default().push(line);
             }
-            rec.kinds_after_autofix = rec
-                .kinds
-                .iter()
-                .copied()
-                .filter(|k| k.fixability() == hv_core::Fixability::Manual)
-                .collect();
-            store.records.push(rec);
+            hosts_seen.extend(hosts.keys().cloned());
+            crawls.push(Crawl { input: input.clone(), warc, hosts, malformed });
         }
+        Ok(WarcSource { crawls, universe: hosts_seen.len() })
     }
-    store.universe = domains_seen.len();
-    store.finalize();
-    Ok(store)
+}
+
+impl PageSource for WarcSource {
+    type Locator = WarcPages;
+
+    fn provenance(&self) -> (u64, f64, usize) {
+        (0, 0.0, self.universe)
+    }
+
+    fn list(&self, snapshots: &[Snapshot]) -> Listing<WarcPages> {
+        let mut listing = Listing { slots: Vec::new(), quarantine: Vec::new() };
+        for (crawl_idx, crawl) in self.crawls.iter().enumerate() {
+            let snapshot = crawl.input.snapshot;
+            if !snapshots.contains(&snapshot) {
+                continue;
+            }
+            // Index lines the CDXJ parser refused: quarantined under a
+            // synthetic per-file pseudo-domain (there is no trustworthy URL
+            // to group by), keyed by line number for the audit trail.
+            for (line_no, _raw) in &crawl.malformed {
+                listing.quarantine.push(QuarantineEntry {
+                    domain_id: 0,
+                    snapshot,
+                    page_index: *line_no,
+                    url: format!("cdxj:{}#L{line_no}", crawl.input.cdx.display()),
+                    class: ErrorClass::MalformedCdx,
+                });
+            }
+            for (host, lines) in &crawl.hosts {
+                listing.slots.push(Slot {
+                    domain_id: hv_corpus::rng::str_key(host),
+                    domain_name: host.clone(),
+                    rank: 0,
+                    snapshot,
+                    urls: lines.iter().map(|l| l.url.clone()).collect(),
+                    locator: WarcPages {
+                        crawl: crawl_idx,
+                        ranges: lines.iter().map(|l| (l.offset, l.length)).collect(),
+                    },
+                });
+            }
+        }
+        listing
+    }
+
+    fn read(&self, slot: &Slot<WarcPages>, page: usize) -> Result<Vec<u8>, ErrorClass> {
+        let (offset, length) = slot.locator.ranges[page];
+        // A corrupt length digit can claim gigabytes: refuse before
+        // allocating for it.
+        if length > MAX_RECORD_LENGTH {
+            return Err(ErrorClass::TruncatedRecord);
+        }
+        let mut raw = vec![0u8; length as usize];
+        let warc = &self.crawls[slot.locator.crawl].warc;
+        warc.read_exact_at(&mut raw, offset).map_err(|_| ErrorClass::TruncatedRecord)?;
+        parse_record(&raw).map(|record| record.body).map_err(|_| ErrorClass::TruncatedRecord)
+    }
 }
 
 fn host_of(url: &str) -> String {
@@ -191,6 +179,8 @@ fn host_of(url: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{scan_snapshots, ScanOptions};
+    use hv_corpus::warc::{surt, WarcWriter};
     use hv_corpus::{Archive, CorpusConfig};
 
     #[test]
@@ -206,13 +196,9 @@ mod tests {
         let inputs = discover(&dir).unwrap();
         assert_eq!(inputs.len(), 1);
         assert_eq!(inputs[0].snapshot, snap);
-        let warc_store = scan_warc(&inputs).unwrap();
+        let warc_store = crate::run::scan(&WarcSource::open(&inputs).unwrap(), ScanOptions::new());
 
-        let virtual_store = crate::run::scan_snapshots(
-            &archive,
-            &[snap],
-            crate::run::ScanOptions::new().threads(2),
-        );
+        let virtual_store = scan_snapshots(&archive, &[snap], ScanOptions::new().threads(2));
 
         // Align by domain name over the exported subset.
         for wrec in &warc_store.records {
@@ -227,6 +213,71 @@ mod tests {
             assert_eq!(wrec.uses_math, vrec.uses_math);
         }
         assert!(!warc_store.records.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Write one crawl as `<dir>/<crawl_id>.{warc,cdxj}`.
+    fn write_crawl(dir: &Path, crawl_id: &str, pages: &[(&str, &[u8])]) {
+        let mut w = WarcWriter::new(Vec::new());
+        let mut cdx = String::new();
+        for (url, body) in pages {
+            let (offset, length) = w.write_response(url, "2019-01-20T00:00:00Z", body).unwrap();
+            let line = CdxjLine {
+                surt: surt(url),
+                timestamp: "20190120000000".into(),
+                url: (*url).into(),
+                mime: "text/html".into(),
+                status: 200,
+                offset,
+                length,
+            };
+            cdx.push_str(&line.render());
+            cdx.push('\n');
+        }
+        std::fs::write(dir.join(format!("{crawl_id}.warc")), w.into_inner()).unwrap();
+        std::fs::write(dir.join(format!("{crawl_id}.cdxj")), cdx).unwrap();
+    }
+
+    /// Two crawls of one year list the same host, so their records (and
+    /// their quarantine entries) tie on the store's sort keys. The order
+    /// must come from the inputs' paths, never from the directory listing
+    /// or the workers.
+    #[test]
+    fn same_year_crawls_scan_identically_at_any_thread_count() {
+        let dir = std::env::temp_dir().join("hv_warcscan_same_year");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let gzip: &[u8] = &[0x1f, 0x8b, 0x08, 0x00];
+        let dup: &[u8] = b"<!DOCTYPE html><img src=a src=b>";
+        // Written late-crawl first, so a listing in creation order would
+        // disagree with the sorted order.
+        write_crawl(
+            &dir,
+            "CC-MAIN-2019-09",
+            &[("https://x.example/late-gz", gzip), ("https://x.example/late", dup)],
+        );
+        write_crawl(&dir, "CC-MAIN-2019-04", &[("https://x.example/early-gz", gzip)]);
+
+        let inputs = discover(&dir).unwrap();
+        let stems: Vec<_> = inputs.iter().map(|i| i.warc.file_stem().unwrap().to_owned()).collect();
+        assert_eq!(stems, ["CC-MAIN-2019-04", "CC-MAIN-2019-09"]);
+
+        let source = WarcSource::open(&inputs).unwrap();
+        let stores: Vec<String> = [1, 2, 4]
+            .iter()
+            .map(|&t| {
+                let store = crate::run::scan(&source, ScanOptions::new().threads(t));
+                serde_json::to_string(&store).unwrap()
+            })
+            .collect();
+        assert_eq!(stores[0], stores[1]);
+        assert_eq!(stores[0], stores[2]);
+
+        let store = crate::run::scan(&source, ScanOptions::new().threads(4));
+        let found: Vec<usize> = store.records.iter().map(|r| r.pages_found).collect();
+        assert_eq!(found, [1, 2], "records follow crawl order");
+        let urls: Vec<&str> = store.quarantine.iter().map(|q| q.url.as_str()).collect();
+        assert_eq!(urls, ["https://x.example/early-gz", "https://x.example/late-gz"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
