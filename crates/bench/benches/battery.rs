@@ -1,23 +1,14 @@
-//! Battery reuse vs per-page construction, and the fused dispatch engine
-//! vs the pre-fusion twenty-scan reference: the scan engine's hot path.
+//! The reused battery and the fused dispatch engine vs the pre-fusion
+//! twenty-scan reference: the scan engine's hot path.
 //!
 //! `reused_battery` is what the page-granular engine does (one
-//! [`Battery`] per worker, findings buffer recycled, report borrowed);
-//! `fresh_per_page` is the old per-page path (`checkers::check_context`):
-//! construct the rule set, run it, and return an owned `PageReport` —
-//! cloning every finding's evidence string. The reuse path should be
-//! meaningfully faster.
+//! [`Battery`] per worker, findings buffer recycled, report borrowed).
 //!
 //! The `fused_*` / `legacy_*` pairs compare the fused single-pass engine
 //! against `checkers::legacy` (each rule scanning the full context on its
 //! own) on the same reused-buffer footing, across a multi-finding page, a
 //! clean page, and a single-finding page. Results are recorded in
 //! `BENCH_battery.json`.
-//!
-//! The `fresh_per_page*` series intentionally call the deprecated
-//! `checkers::check_context` shim — that one-shot path *is* the baseline
-//! being compared against.
-#![allow(deprecated)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hv_bench::{sample_pages, total_bytes};
@@ -43,26 +34,12 @@ fn bench_battery(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("fresh_per_page", |b| {
-        b.iter(|| {
-            let mut findings = 0usize;
-            for cx in &contexts {
-                findings += hv_core::checkers::check_context(black_box(cx)).findings.len();
-            }
-            black_box(findings)
-        })
-    });
-
-    // Finding-heavy worst case: every page violates several kinds, so the
-    // owned-report path pays maximal per-finding clone cost.
+    // Finding-heavy worst case: every page violates several kinds.
     let violating = hv_bench::violating_page();
     let vcx = CheckContext::new(&violating);
     g.bench_function("reused_battery_violating", |b| {
         let mut battery = Battery::full();
         b.iter(|| black_box(battery.run_ref(black_box(&vcx)).findings.len()))
-    });
-    g.bench_function("fresh_per_page_violating", |b| {
-        b.iter(|| black_box(hv_core::checkers::check_context(black_box(&vcx)).findings.len()))
     });
 
     // Fused engine vs the pre-fusion per-rule scans, both on reused

@@ -1,24 +1,22 @@
 //! Checker battery benchmarks: per-rule cost, full-battery cost, and the
 //! §4.4 auto-fixer.
-//!
-//! Deliberately exercises the deprecated `check_page`/`check_context`
-//! shims: these series track the one-shot convenience path's cost across
-//! builds for as long as the shims live.
-#![allow(deprecated)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hv_core::checkers;
 use hv_core::context::CheckContext;
+use hv_core::Battery;
 use std::hint::black_box;
 
 fn bench_full_battery(c: &mut Criterion) {
     let pages = hv_bench::sample_pages(32);
     let mut g = c.benchmark_group("checkers");
+    // Parse + check per page on one reused battery, as a scan worker runs.
     g.bench_function("check_page_32_pages", |b| {
+        let mut battery = Battery::full();
         b.iter(|| {
             let mut findings = 0usize;
             for p in &pages {
-                findings += checkers::check_page(black_box(p)).findings.len();
+                findings += battery.run_str(black_box(p)).findings.len();
             }
             black_box(findings)
         })
@@ -28,7 +26,8 @@ fn bench_full_battery(c: &mut Criterion) {
     let page = hv_bench::violating_page();
     let cx = CheckContext::new(&page);
     g.bench_function("battery_without_parse", |b| {
-        b.iter(|| black_box(checkers::check_context(black_box(&cx))).findings.len())
+        let mut battery = Battery::full();
+        b.iter(|| black_box(battery.run_ref(black_box(&cx)).findings.len()))
     });
     g.finish();
 }

@@ -9,10 +9,18 @@
 //! throughput regressions.
 //!
 //! Counts are exact: the measurement closures run single-threaded under
-//! `hv_bench::alloc::CountingAlloc`.
+//! `hv_bench::alloc::CountingAlloc`, and each test holds [`serial`] so the
+//! harness's parallel tests never allocate into another test's count.
 
 use hv_bench::alloc::count_allocations;
 use hv_bench::{dense_violating_page, profile_page};
+use std::sync::{Mutex, MutexGuard};
+
+/// The allocation counter is process-wide: tests run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 const DENSE_N: usize = 400;
 const PROFILE_BYTES: usize = 256 * 1024;
@@ -39,6 +47,7 @@ fn battery_allocs(page: &str) -> u64 {
 
 #[test]
 fn dense_fixture_parse_allocs_within_ceiling() {
+    let _serial = serial();
     let page = dense_violating_page(DENSE_N);
     let n = parse_allocs(&page);
     eprintln!("dense_violating({DENSE_N}): {n} allocs/parse");
@@ -49,6 +58,7 @@ fn dense_fixture_parse_allocs_within_ceiling() {
 
 #[test]
 fn dense_fixture_battery_allocs_within_ceiling() {
+    let _serial = serial();
     let page = dense_violating_page(DENSE_N);
     let n = battery_allocs(&page);
     eprintln!("dense_violating({DENSE_N}): {n} allocs/battery-run");
@@ -60,6 +70,7 @@ fn dense_fixture_battery_allocs_within_ceiling() {
 
 #[test]
 fn attribute_profiles_parse_allocs_within_ceiling() {
+    let _serial = serial();
     for (profile, ceiling) in
         [("attribute_heavy", ATTR_HEAVY_CEILING), ("attribute_soup", ATTR_SOUP_CEILING)]
     {

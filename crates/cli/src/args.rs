@@ -2,7 +2,6 @@
 //! subcommands).
 
 use hv_corpus::FaultPlan;
-use hv_pipeline::StoreFormat;
 use std::path::PathBuf;
 
 pub const USAGE: &str = "\
@@ -17,7 +16,9 @@ USAGE:
   hva scan [--seed N] [--scale F] [--threads N] [--store FILE] [--metrics]
            [--inject-faults S:R] [--resume] [--overwrite]
                                      run the full measurement pipeline
-                                     (--metrics: collect + print scan
+                                     (--store: stream a v1 binary store,
+                                      one fsynced segment per snapshot;
+                                      --metrics: collect + print scan
                                       observability, embedded in the store;
                                       --inject-faults: deterministic read-
                                       path faults, seed S at rate R;
@@ -52,19 +53,22 @@ USAGE:
                                      per-segment summary table
   hva store verify <FILE>            strict integrity check (checksums,
                                      framing, footers); non-zero on corruption
-  hva store migrate <SRC> <DST> [--to v0-json|v1-binary] [--allow-partial]
-                                     convert between store formats (default
-                                     target: by DST extension — .json is v0,
-                                     anything else the v1 binary format)
+  hva store migrate <SRC> <DST> [--allow-partial]
+                                     rewrite any store as a v1 binary store
   hva store export <SRC> <DST> [--allow-partial]
                                      export any store as v0 JSON interchange
+                                     (the only command that writes JSON;
+                                      scan, scan-warc and migrate refuse a
+                                      .json destination)
   hva repro [--seed N] [--scale F] [--threads N] [--out FILE] [--json FILE]
                                      scan + print every experiment
                                      (+ write EXPERIMENTS-style markdown
                                       and/or a machine-readable JSON dump)
   hva scan-warc <DIR> [--store FILE] scan on-disk WARC/CDXJ archives (as
                                      exported by gen --warc, or real Common
-                                     Crawl extracts in the same layout)
+                                     Crawl extracts in the same layout);
+                                     --store streams a v1 binary store,
+                                     replacing an existing one
   hva explain <VIOLATION|all>        explain a violation: parser behaviour,
                                      attack, and fix (e.g. hva explain DM3)
   hva serve [--addr HOST:PORT] [--threads N] [--max-body BYTES]
@@ -160,7 +164,7 @@ pub enum Command {
 pub enum StoreAction {
     Inspect { file: PathBuf, allow_partial: bool },
     Verify { file: PathBuf },
-    Migrate { src: PathBuf, dst: PathBuf, to: Option<StoreFormat>, allow_partial: bool },
+    Migrate { src: PathBuf, dst: PathBuf, allow_partial: bool },
     Export { src: PathBuf, dst: PathBuf, allow_partial: bool },
 }
 
@@ -207,7 +211,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if resume && overwrite {
                 return Err("scan: --resume and --overwrite are mutually exclusive".into());
             }
-            let store = flags.get("store").map(PathBuf::from);
+            let store = flags.get("store").map(|p| v1_destination("scan", p)).transpose()?;
             if resume && store.is_none() {
                 return Err("scan: --resume requires --store FILE".into());
             }
@@ -286,17 +290,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 },
                 "migrate" => StoreAction::Migrate {
                     src: positional.get(1).ok_or("store migrate: missing <SRC>")?.into(),
-                    dst: positional.get(2).ok_or("store migrate: missing <DST>")?.into(),
-                    to: match flags.get("to").as_deref() {
-                        Some("v0-json") | Some("v0") => Some(StoreFormat::V0Json),
-                        Some("v1-binary") | Some("v1") => Some(StoreFormat::V1Binary),
-                        Some(other) => {
-                            return Err(format!(
-                                "store migrate: bad --to value {other} (v0-json | v1-binary)"
-                            ))
-                        }
-                        None => None,
-                    },
+                    dst: v1_destination(
+                        "store migrate",
+                        *positional.get(2).ok_or("store migrate: missing <DST>")?,
+                    )?,
                     allow_partial,
                 },
                 "export" => StoreAction::Export {
@@ -317,7 +314,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let dir = positional.first().ok_or("scan-warc: missing <DIR>")?;
             Ok(Command::ScanWarc {
                 dir: PathBuf::from(dir),
-                store: flags.get("store").map(PathBuf::from),
+                store: flags.get("store").map(|p| v1_destination("scan-warc", p)).transpose()?,
             })
         }
         "explain" => {
@@ -351,6 +348,20 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
         other => Err(format!("unknown subcommand: {other}")),
     }
+}
+
+/// Scans and migrations write only the v1 binary store; v0 JSON is an
+/// export. A `.json` destination is refused before any work starts.
+fn v1_destination(cmd: &str, path: impl Into<PathBuf>) -> Result<PathBuf, String> {
+    let path = path.into();
+    if path.extension().is_some_and(|e| e.eq_ignore_ascii_case("json")) {
+        return Err(format!(
+            "{cmd}: {} requires a v1 binary store, but .json names v0 JSON; \
+             write a .hvs store and convert it with `hva store export <STORE> <FILE.json>`",
+            path.display()
+        ));
+    }
+    Ok(path)
 }
 
 /// Parsed flags: `--key value`, `--key` (boolean), `-o value`.
@@ -582,18 +593,6 @@ mod tests {
                 action: StoreAction::Migrate {
                     src: "s.json".into(),
                     dst: "s.hvs".into(),
-                    to: None,
-                    allow_partial: false,
-                }
-            }
-        );
-        assert_eq!(
-            p(&["store", "migrate", "a", "b", "--to", "v0-json"]).unwrap(),
-            Command::Store {
-                action: StoreAction::Migrate {
-                    src: "a".into(),
-                    dst: "b".into(),
-                    to: Some(StoreFormat::V0Json),
                     allow_partial: false,
                 }
             }
@@ -611,8 +610,31 @@ mod tests {
         assert!(p(&["store"]).is_err());
         assert!(p(&["store", "inspect"]).is_err());
         assert!(p(&["store", "migrate", "a"]).is_err());
-        assert!(p(&["store", "migrate", "a", "b", "--to", "v9"]).is_err());
         assert!(p(&["store", "frobnicate", "x"]).is_err());
+    }
+
+    /// Every v1 writer refuses a `.json` destination at parse time and
+    /// points at the one JSON writer; reading JSON stays fine.
+    #[test]
+    fn v1_writers_refuse_json_destinations() {
+        for args in [
+            &["scan", "--store", "s.json"][..],
+            &["scan", "--store", "s.json", "--resume"],
+            &["scan", "--store", "S.JSON", "--overwrite"],
+            &["scan-warc", "dir", "--store", "w.json"],
+            &["store", "migrate", "s.hvs", "out.json"],
+        ] {
+            let err = p(args).unwrap_err();
+            assert!(err.contains("requires a v1 binary store"), "{args:?}: {err}");
+            assert!(err.contains("hva store export"), "{args:?}: {err}");
+        }
+        assert!(matches!(
+            p(&["scan-warc", "dir", "--store", "w.hvs"]).unwrap(),
+            Command::ScanWarc { store: Some(_), .. }
+        ));
+        assert!(p(&["store", "export", "s.hvs", "out.json"]).is_ok());
+        assert!(p(&["report", "fig8", "--store", "s.json"]).is_ok());
+        assert!(p(&["serve", "--store", "s.json"]).is_ok());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use crate::args::{Command, StoreAction, USAGE};
 use hv_core::{autofix, Battery};
 use hv_corpus::{Archive, CorpusConfig, Snapshot};
-use hv_pipeline::{
-    scan, scan_streamed, IndexedStore, LoadOptions, ResultStore, ScanOptions, StoreFormat,
-};
+use hv_pipeline::run::{fault_sums, PageSource};
+use hv_pipeline::{scan, scan_streamed, IndexedStore, LoadOptions, ResultStore, ScanOptions};
 use std::fs;
 use std::path::Path;
 use std::time::Instant;
@@ -23,25 +22,13 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Scan { seed, scale, threads, store, metrics, faults, resume, overwrite } => {
             match store {
-                // Writing the binary format streams one snapshot segment at
-                // a time: peak memory never holds the full record set.
-                Some(path) if StoreFormat::for_path(&path) == StoreFormat::V1Binary => {
-                    run_scan_streamed(
-                        seed, scale, threads, metrics, faults, resume, overwrite, &path,
-                    )?;
-                    println!("store written to {} (v1-binary, streamed)", path.display());
-                }
-                Some(path) if resume => {
-                    return Err(format!(
-                        "scan: --resume requires a v1 binary store, but {} is v0 JSON \
-                         (one-shot writes cannot be resumed)",
-                        path.display()
-                    ));
-                }
                 Some(path) => {
-                    let result = run_scan(seed, scale, threads, metrics, faults)?;
-                    result.save(&path).map_err(|e| format!("saving store: {e}"))?;
-                    println!("store written to {}", path.display());
+                    let (archive, opts) = scan_setup(seed, scale, threads, metrics, faults);
+                    if resume {
+                        eprintln!("resuming {} ...", path.display());
+                    }
+                    let opts = opts.resume(resume).overwrite(overwrite);
+                    run_scan_streamed(&archive, &Snapshot::ALL, opts, &path)?;
                 }
                 None => {
                     let result = run_scan(seed, scale, threads, metrics, faults)?;
@@ -74,19 +61,16 @@ pub fn run(cmd: Command) -> Result<(), String> {
             eprintln!("scanning {} WARC snapshot(s) ...", inputs.len());
             let source = hv_pipeline::warcscan::WarcSource::open(&inputs)
                 .map_err(|e| format!("scanning WARC: {e}"))?;
-            let result = scan(&source, ScanOptions::new());
             match store {
                 Some(path) => {
-                    result
-                        .save_as(&path, StoreFormat::for_path(&path))
-                        .map_err(|e| format!("saving store: {e}"))?;
-                    println!(
-                        "store written to {} ({})",
-                        path.display(),
-                        StoreFormat::for_path(&path).name()
-                    );
+                    let snapshots: Vec<Snapshot> = inputs.iter().map(|i| i.snapshot).collect();
+                    let opts = ScanOptions::new().overwrite(true);
+                    run_scan_streamed(&source, &snapshots, opts, &path)?;
                 }
-                None => println!("{}", hv_report::full_report(&IndexedStore::new(result))),
+                None => {
+                    let result = scan(&source, ScanOptions::new());
+                    println!("{}", hv_report::full_report(&IndexedStore::new(result)));
+                }
             }
             Ok(())
         }
@@ -386,26 +370,17 @@ fn scan_setup(
     (archive, opts)
 }
 
-/// Scan straight into a v1 binary store, one snapshot segment at a time.
-#[allow(clippy::too_many_arguments)]
-fn run_scan_streamed(
-    seed: u64,
-    scale: f64,
-    threads: usize,
-    metrics: bool,
-    faults: Option<hv_corpus::FaultPlan>,
-    resume: bool,
-    overwrite: bool,
+/// Scan straight into a v1 binary store, one fsynced snapshot segment at
+/// a time — the only way a scan reaches disk.
+fn run_scan_streamed<S: PageSource>(
+    source: &S,
+    snapshots: &[Snapshot],
+    opts: ScanOptions,
     path: &Path,
 ) -> Result<(), String> {
     let t0 = Instant::now();
-    let (archive, mut opts) = scan_setup(seed, scale, threads, metrics, faults);
-    opts = opts.resume(resume).overwrite(overwrite);
-    if resume {
-        eprintln!("resuming {} ...", path.display());
-    }
-    let summary = scan_streamed(&archive, &Snapshot::ALL, opts, path)
-        .map_err(|e| format!("streamed scan: {e}"))?;
+    let summary =
+        scan_streamed(source, snapshots, opts, path).map_err(|e| format!("streamed scan: {e}"))?;
     if summary.resumed_segments > 0 {
         eprintln!(
             "resume: kept {} completed segment(s){}",
@@ -417,18 +392,17 @@ fn run_scan_streamed(
             }
         );
     }
-    eprintln!(
-        "scan finished in {:.1}s ({} domain-snapshot records in {} segment(s))",
-        t0.elapsed().as_secs_f64(),
-        summary.records,
-        summary.segments.len()
+    print_scan_end(
+        t0,
+        &format!(
+            "{} domain-snapshot records in {} segment(s)",
+            summary.records,
+            summary.segments.len()
+        ),
+        (summary.faulted, summary.degraded, summary.quarantined),
+        summary.metrics.as_ref(),
     );
-    if summary.quarantined > 0 {
-        eprintln!("faults: {} page(s) quarantined", summary.quarantined);
-    }
-    if let Some(m) = &summary.metrics {
-        eprint!("{}", m.render());
-    }
+    println!("store written to {} (v1-binary, streamed)", path.display());
     Ok(())
 }
 
@@ -442,23 +416,34 @@ fn run_scan(
     let t0 = Instant::now();
     let (archive, opts) = scan_setup(seed, scale, threads, metrics, faults);
     let store = scan(&archive, opts);
-    eprintln!(
-        "scan finished in {:.1}s ({} domain-snapshot records)",
-        t0.elapsed().as_secs_f64(),
-        store.records.len()
+    let (faulted, degraded) = fault_sums(&store.records);
+    print_scan_end(
+        t0,
+        &format!("{} domain-snapshot records", store.records.len()),
+        (faulted, degraded, store.quarantine.len()),
+        store.metrics.as_ref(),
     );
-    if !store.quarantine.is_empty() {
-        let faulted: usize = store.records.iter().map(|r| r.pages_faulted).sum();
-        let degraded: usize = store.records.iter().map(|r| r.pages_degraded).sum();
+    Ok(store)
+}
+
+/// The lines every scan ends with, streamed or in memory: wall time, the
+/// fault counts `(faulted, degraded, quarantined)` when anything was
+/// quarantined, and the metrics block when collected.
+fn print_scan_end(
+    t0: Instant,
+    what: &str,
+    (faulted, degraded, quarantined): (usize, usize, usize),
+    metrics: Option<&hv_pipeline::ScanMetrics>,
+) {
+    eprintln!("scan finished in {:.1}s ({what})", t0.elapsed().as_secs_f64());
+    if quarantined > 0 {
         eprintln!(
-            "faults: {faulted} pages faulted, {degraded} degraded, {} quarantined",
-            store.quarantine.len()
+            "faults: {faulted} pages faulted, {degraded} degraded, {quarantined} quarantined"
         );
     }
-    if let Some(m) = &store.metrics {
+    if let Some(m) = metrics {
         eprint!("{}", m.render());
     }
-    Ok(store)
 }
 
 /// `hva chaos`: run the scan under deterministic fault injection at two
@@ -564,7 +549,7 @@ fn store_cmd(action: StoreAction) -> Result<(), String> {
             );
             Ok(())
         }
-        StoreAction::Migrate { src, dst, to, allow_partial } => {
+        StoreAction::Migrate { src, dst, allow_partial } => {
             let loaded = ResultStore::load_with(&src, LoadOptions { allow_partial })
                 .map_err(|e| format!("loading store: {e}"))?;
             for d in &loaded.dropped {
@@ -573,14 +558,12 @@ fn store_cmd(action: StoreAction) -> Result<(), String> {
                     d.segment, d.offset, d.detail
                 );
             }
-            let target = to.unwrap_or_else(|| StoreFormat::for_path(&dst));
-            loaded.store.save_as(&dst, target).map_err(|e| format!("writing store: {e}"))?;
+            loaded.store.save_v1(&dst).map_err(|e| format!("writing store: {e}"))?;
             println!(
-                "migrated {} ({}) -> {} ({}), {} record(s)",
+                "migrated {} ({}) -> {} (v1-binary), {} record(s)",
                 src.display(),
                 loaded.format.name(),
                 dst.display(),
-                target.name(),
                 loaded.store.records.len()
             );
             Ok(())

@@ -123,7 +123,9 @@ fn gen_warc_roundtrips() {
 #[test]
 fn scan_store_report_roundtrip() {
     let dir = tmpdir("scan");
-    let store_path = dir.join("store.json");
+    let store_path = dir.join("store.hvs");
+    // A store left by an earlier run would trip the clobber guard.
+    std::fs::remove_file(&store_path).ok();
     let out = hva()
         .args(["scan", "--scale", "0.002", "--threads", "4", "--store"])
         .arg(&store_path)
@@ -146,6 +148,35 @@ fn scan_store_report_roundtrip() {
     // Unknown experiment errors cleanly.
     let out = hva().args(["report", "fig99", "--store"]).arg(&store_path).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// Read a store's content the supported way: `hva store export` to JSON.
+fn export(store: &std::path::Path) -> String {
+    let json = store.with_extension("json");
+    let out = hva().args(["store", "export"]).arg(store).arg(&json).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::read_to_string(&json).unwrap()
+}
+
+/// Scans and migrations write only v1: a `.json` destination is a usage
+/// error that names the export command, and nothing is written.
+#[test]
+fn json_store_destinations_are_usage_errors() {
+    let dir = tmpdir("json_refused");
+    let json = dir.join("refused.json");
+    std::fs::remove_file(&json).ok();
+    for args in [
+        vec!["scan", "--scale", "0.002", "--store"],
+        vec!["scan-warc", "nowhere", "--store"],
+        vec!["store", "migrate", "any-store.hvs"],
+    ] {
+        let out = hva().args(&args).arg(&json).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("requires a v1 binary store"), "{args:?}: {stderr}");
+        assert!(stderr.contains("hva store export"), "{args:?}: {stderr}");
+        assert!(!json.exists(), "{args:?} wrote {}", json.display());
+    }
 }
 
 fn walk_count(dir: &std::path::Path, name: &str) -> usize {
@@ -192,7 +223,7 @@ fn scan_warc_end_to_end() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    let store_path = dir.join("warc-store.json");
+    let store_path = dir.join("warc-store.hvs");
     let out = hva().args(["scan-warc"]).arg(&dir).arg("--store").arg(&store_path).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(store_path.exists());
@@ -224,7 +255,8 @@ fn chaos_verdict_passes() {
 #[test]
 fn scan_inject_faults_writes_quarantine() {
     let dir = tmpdir("scan_faults");
-    let store_path = dir.join("faulted-store.json");
+    let store_path = dir.join("faulted-store.hvs");
+    std::fs::remove_file(&store_path).ok();
     let out = hva()
         .args(["scan", "--scale", "0.002", "--threads", "4", "--inject-faults", "9:0.1", "--store"])
         .arg(&store_path)
@@ -235,7 +267,7 @@ fn scan_inject_faults_writes_quarantine() {
     assert!(stderr.contains("injecting deterministic faults"), "{stderr}");
     assert!(stderr.contains("faulted"), "{stderr}");
 
-    let json = std::fs::read_to_string(&store_path).unwrap();
+    let json = export(&store_path);
     assert!(json.contains("\"quarantine\""), "faulted store records its quarantine set");
 
     // A malformed fault spec is a usage error.

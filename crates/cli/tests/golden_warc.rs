@@ -73,11 +73,14 @@ fn write_damaged_crawl(dir: &std::path::Path) -> PathBuf {
     cdx
 }
 
+/// Scan `dir` into a v1 store and read it back through `hva store export`.
 fn scan(dir: &std::path::Path) -> Value {
-    let store = dir.join("store.json");
+    let (store, json) = (dir.join("store.hvs"), dir.join("store.json"));
     let out = hva().arg("scan-warc").arg(dir).arg("--store").arg(&store).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    serde_json::from_str(&std::fs::read_to_string(&store).unwrap()).unwrap()
+    let out = hva().args(["store", "export"]).arg(&store).arg(&json).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap()
 }
 
 fn count(v: &Value, key: &str) -> u64 {

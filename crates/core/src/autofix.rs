@@ -62,9 +62,13 @@ pub fn auto_fix(raw: &str) -> FixOutcome {
     let mut fixed_html = raw.to_owned();
     let mut after = before.clone();
     for _ in 0..3 {
-        let mut out = spec_html::parse_document(&fixed_html);
-        relocate_head_content(&mut out.dom);
-        let next = serializer::serialize(&out.dom);
+        // The reparsed DOM is dropped before the after-check parses the
+        // new markup: two deep documents' trees never coexist.
+        let next = {
+            let mut out = spec_html::parse_document(&fixed_html);
+            relocate_head_content(&mut out.dom);
+            serializer::serialize(&out.dom)
+        };
         let stalled = next == fixed_html;
         fixed_html = next;
         after = battery.run_str(&fixed_html).kinds();

@@ -466,27 +466,6 @@ mod tests {
 
     const DIRTY: &str = "<img src=a src=b><div id=x id=y><p/ class=c><a href=\"u\"title=t>";
 
-    /// The deprecated one-shot shims must stay observationally identical
-    /// to the Battery methods they delegate to for the release they
-    /// survive.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_battery_methods() {
-        let mut battery = Battery::full();
-        let a = battery.run_str(DIRTY);
-        let b = checkers::check_page(DIRTY);
-        assert_eq!(a.findings, b.findings);
-        assert_eq!(a.mitigations, b.mitigations);
-
-        let frag = "<img src=a src=b>";
-        let via_method = battery.run_fragment(frag, "div");
-        let via_shim = checkers::check_fragment(frag);
-        assert_eq!(via_method.findings, via_shim.findings);
-
-        let cx = CheckContext::new(DIRTY);
-        assert_eq!(checkers::check_context(&cx).findings, battery.run(&cx).findings);
-    }
-
     #[test]
     fn battery_reuse_is_stateless_across_pages() {
         let mut battery = Battery::full();

@@ -184,8 +184,7 @@ impl Check for De4 {
 
 #[cfg(test)]
 mod tests {
-    /// Test-local one-shot over the new Battery API (the deprecated
-    /// free-function shim delegates to exactly this).
+    /// Test-local one-shot over a fresh [`Battery`](crate::Battery).
     fn check_page(raw: &str) -> crate::report::PageReport {
         crate::Battery::full().run_str(raw)
     }

@@ -23,7 +23,7 @@ pub mod hf;
 pub mod legacy;
 
 use crate::context::CheckContext;
-use crate::report::{Finding, MitigationFlags, PageReport};
+use crate::report::{Finding, MitigationFlags};
 use crate::taxonomy::ViolationKind;
 use spec_html::dom::NodeId;
 use spec_html::errors::ParseError;
@@ -143,43 +143,6 @@ pub fn all_checks() -> Vec<Box<dyn Check>> {
     ]
 }
 
-/// Run every rule over a page and assemble the [`PageReport`] (violations +
-/// §4.5 mitigation flags).
-///
-/// Deprecated shim: the one-shot free functions folded into
-/// [`crate::Battery`], whose constructors (`full`/`only`) plus methods
-/// (`run_str`/`run_fragment`/`run`) cover the same ground and let hot
-/// loops reuse the rule set. Kept for one release.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Battery::full().run_str(raw)` (reuse the Battery in loops)"
-)]
-pub fn check_page(raw: &str) -> PageReport {
-    crate::Battery::full().run_str(raw)
-}
-
-/// Run every rule over a dynamically loaded HTML *fragment* (parsed with
-/// innerHTML semantics in a `div` context) — the §5.1 pre-study's unit of
-/// analysis.
-///
-/// Deprecated shim; see [`check_page`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Battery::full().run_fragment(raw, \"div\")` (reuse the Battery in loops)"
-)]
-pub fn check_fragment(raw: &str) -> PageReport {
-    crate::Battery::full().run_fragment(raw, "div")
-}
-
-/// Like [`check_page`] but reusing an existing context (the caller builds
-/// the context once and also feeds, e.g., the auto-fixer).
-///
-/// Deprecated shim; see [`check_page`].
-#[deprecated(since = "0.2.0", note = "use `Battery::full().run(cx)` (reuse the Battery in loops)")]
-pub fn check_context(cx: &CheckContext<'_>) -> PageReport {
-    crate::Battery::full().run(cx)
-}
-
 /// Allocation-free ASCII-case-insensitive substring search. `needle` must
 /// already be lowercase.
 fn contains_ascii_ci(haystack: &str, needle: &str) -> bool {
@@ -245,7 +208,7 @@ pub fn mitigation_flags(cx: &CheckContext<'_>) -> MitigationFlags {
 mod tests {
     use super::*;
 
-    fn check_page(raw: &str) -> PageReport {
+    fn check_page(raw: &str) -> crate::report::PageReport {
         crate::Battery::full().run_str(raw)
     }
 

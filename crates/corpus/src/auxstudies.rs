@@ -184,8 +184,7 @@ mod tests {
     use super::*;
     use crate::archive::{Archive, CorpusConfig};
 
-    /// Test-local one-shot over the new Battery API (the deprecated
-    /// free-function shim delegates to exactly this).
+    /// Test-local one-shot over a fresh [`Battery`](hv_core::Battery).
     fn check_fragment(raw: &str) -> hv_core::PageReport {
         hv_core::Battery::full().run_fragment(raw, "div")
     }

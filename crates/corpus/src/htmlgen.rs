@@ -383,8 +383,7 @@ mod tests {
     use crate::snapshots::Snapshot;
     use hv_core::ViolationKind as VK;
 
-    /// Test-local one-shot over the new Battery API (the deprecated
-    /// free-function shim delegates to exactly this).
+    /// Test-local one-shot over a fresh [`Battery`](hv_core::Battery).
     fn check_page(raw: &str) -> hv_core::PageReport {
         hv_core::Battery::full().run_str(raw)
     }

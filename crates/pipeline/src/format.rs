@@ -40,7 +40,7 @@
 //! header + N complete CRC'd segments, no trailer. [`scan_prefix`]
 //! validates such a prefix and [`StoreWriter::resume`] truncates the torn
 //! tail and appends from there. One-shot writers
-//! ([`ResultStore::save_as`](crate::store::ResultStore::save_as)) instead
+//! ([`ResultStore::save_v1`](crate::store::ResultStore::save_v1)) instead
 //! write a temp sibling, fsync it, rename it into place, and fsync the
 //! parent directory, so readers never observe a torn store.
 
@@ -336,7 +336,7 @@ impl<W: StoreSink> StoreSink for FailingWriter<W> {
 /// write in place and fsync the header and every segment boundary, so a
 /// crash leaves a valid resumable prefix. [`StoreWriter::new`] (arbitrary
 /// sinks, including the temp files behind
-/// [`ResultStore::save_as`](crate::store::ResultStore::save_as)) skips the
+/// [`ResultStore::save_v1`](crate::store::ResultStore::save_v1)) skips the
 /// per-segment fsyncs and only syncs in [`StoreWriter::finish`].
 pub struct StoreWriter<W: StoreSink> {
     out: W,

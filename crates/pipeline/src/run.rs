@@ -58,9 +58,6 @@ pub struct ScanOptions {
     /// Deterministic fault injection over the read path (`None` = clean
     /// scan). See [`hv_corpus::faults`].
     pub faults: Option<FaultPlan>,
-    /// Record bodies larger than this are quarantined
-    /// ([`ErrorClass::OversizedBody`]) instead of parsed.
-    pub byte_budget: usize,
     /// Resume a crash-interrupted streamed scan: validate the existing
     /// store's prefix, skip its completed snapshots, and append the rest
     /// (see [`StoreWriter::resume`]). Only meaningful for
@@ -72,20 +69,19 @@ pub struct ScanOptions {
     pub overwrite: bool,
 }
 
-/// Default per-record byte budget: far above any page the generator emits,
-/// far below anything that could pressure memory.
+/// Per-record byte budget: bodies larger than this are quarantined
+/// ([`ErrorClass::OversizedBody`]) instead of parsed. Far above any page
+/// the generator emits, far below anything that could pressure memory.
 pub const DEFAULT_BYTE_BUDGET: usize = 1 << 20;
 
 impl ScanOptions {
-    /// The defaults: all cores, silent, no metrics, no faults, 1 MiB byte
-    /// budget.
+    /// The defaults: all cores, silent, no metrics, no faults.
     pub fn new() -> Self {
         ScanOptions {
             threads: 0,
             progress_every: 0,
             collect_metrics: false,
             faults: None,
-            byte_budget: DEFAULT_BYTE_BUDGET,
             resume: false,
             overwrite: false,
         }
@@ -112,12 +108,6 @@ impl ScanOptions {
     /// Inject deterministic faults into the read path.
     pub fn inject_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Override the per-record byte budget.
-    pub fn byte_budget(mut self, budget: usize) -> Self {
-        self.byte_budget = budget;
         self
     }
 
@@ -346,6 +336,11 @@ pub fn scan_snapshots<S: PageSource>(
 pub struct ScanSummary {
     /// Records written across all segments.
     pub records: u64,
+    /// Pages with an injected fault, summed over the records.
+    pub faulted: usize,
+    /// Pages analyzed only after transient-error retries, summed over the
+    /// records.
+    pub degraded: usize,
     /// Pages set aside with a structured reason.
     pub quarantined: usize,
     /// Per-segment summaries, in snapshot order (matches the footers).
@@ -392,8 +387,11 @@ pub fn scan_streamed<S: PageSource>(
             Resumed::Complete { segments } => {
                 // Nothing to append — report what the finished store holds.
                 let store = ResultStore::load(path)?;
+                let (faulted, degraded) = fault_sums(&store.records);
                 return Ok(ScanSummary {
                     records: segments.iter().map(|s| u64::from(s.records)).sum(),
+                    faulted,
+                    degraded,
                     quarantined: store.quarantine.len(),
                     resumed_segments: segments.len(),
                     truncated_bytes: 0,
@@ -412,11 +410,15 @@ pub fn scan_streamed<S: PageSource>(
     let completed: BTreeSet<Snapshot> = writer.completed().iter().map(|s| s.snapshot).collect();
 
     let mut metrics = ScanMetrics::default();
+    let (mut faulted, mut degraded) = (0, 0);
     for &snap in &snaps {
         if completed.contains(&snap) {
             continue;
         }
         let store = scan_snapshots(source, &[snap], opts);
+        let (f, d) = fault_sums(&store.records);
+        faulted += f;
+        degraded += d;
         // Empty segments are written too: on disk, "scanned and found
         // nothing" must stay distinguishable from "never scanned", or a
         // resume would re-scan (and a reader under-count) the snapshot.
@@ -437,9 +439,28 @@ pub fn scan_streamed<S: PageSource>(
         None
     };
     let segments = writer.finish()?;
+    if resumed_segments > 0 {
+        // The kept segments' records were never in memory: count the
+        // whole finished store instead.
+        (faulted, degraded) = fault_sums(&ResultStore::load(path)?.records);
+    }
     let records = segments.iter().map(|s| u64::from(s.records)).sum();
     let quarantined = segments.iter().map(|s| s.pages_quarantined as usize).sum();
-    Ok(ScanSummary { records, quarantined, segments, metrics, resumed_segments, truncated_bytes })
+    Ok(ScanSummary {
+        records,
+        faulted,
+        degraded,
+        quarantined,
+        segments,
+        metrics,
+        resumed_segments,
+        truncated_bytes,
+    })
+}
+
+/// `(pages faulted, pages degraded)` summed over `records`.
+pub fn fault_sums(records: &[DomainYearRecord]) -> (usize, usize) {
+    records.iter().fold((0, 0), |(f, d), r| (f + r.pages_faulted, d + r.pages_degraded))
 }
 
 /// Everything one worker hands back at the join.
@@ -527,7 +548,7 @@ fn scan_worker<S: PageSource>(
         // Guards that refuse a body before any expensive work: the byte
         // budget, and bodies that are (corrupt) compressed streams rather
         // than HTML.
-        if let Some(class) = body_guard(&body, opts.byte_budget) {
+        if let Some(class) = body_guard(&body) {
             quarantine_page(class, slot, page, partial, &mut wm);
             bump_progress(done, opts, total_pages);
             continue;
@@ -644,7 +665,7 @@ fn fetch_page<S: PageSource>(
                 Vec::new()
             })
         };
-        match plan.apply(key, attempt, opts.byte_budget, clean) {
+        match plan.apply(key, attempt, DEFAULT_BYTE_BUDGET, clean) {
             Ok(body) => break read_error.map_or(Ok(body), Err),
             Err(FetchFault::Transient) if attempt < FETCH_ATTEMPTS => {
                 out.retries += 1;
@@ -660,8 +681,8 @@ fn fetch_page<S: PageSource>(
 }
 
 /// Pre-parse guards: refuse bodies the parser should never see.
-fn body_guard(body: &[u8], byte_budget: usize) -> Option<ErrorClass> {
-    if body.len() > byte_budget {
+fn body_guard(body: &[u8]) -> Option<ErrorClass> {
+    if body.len() > DEFAULT_BYTE_BUDGET {
         return Some(ErrorClass::OversizedBody);
     }
     // Gzip magic: the record is a (possibly corrupt) compressed member,
@@ -828,6 +849,40 @@ mod tests {
         std::fs::remove_file(&stream_path).ok();
     }
 
+    /// `hva store export` of a streamed store is the v0 JSON the in-memory
+    /// scan would have saved: clean and faulted, at two thread counts,
+    /// over both page sources. This is what lets every scan write v1 and
+    /// leave JSON to the export.
+    #[test]
+    fn export_of_streamed_store_equals_saved_in_memory_scan() {
+        fn check<S: PageSource>(source: &S, snaps: &[Snapshot], name: &str) {
+            let dir = std::env::temp_dir().join(format!("hv_export_relation_{name}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let (streamed, exported, saved) =
+                (dir.join("s.hvs"), dir.join("export.json"), dir.join("saved.json"));
+            let plan = FaultPlan::new(9, 0.2).unwrap();
+            for opts in [ScanOptions::new(), ScanOptions::new().inject_faults(plan)] {
+                for threads in [1, 3] {
+                    let opts = opts.threads(threads);
+                    scan_streamed(source, snaps, opts.overwrite(true), &streamed).unwrap();
+                    ResultStore::load(&streamed).unwrap().save(&exported).unwrap();
+                    scan_snapshots(source, snaps, opts).save(&saved).unwrap();
+                    assert_eq!(
+                        std::fs::read(&exported).unwrap(),
+                        std::fs::read(&saved).unwrap(),
+                        "{name}: threads {threads}, faults {:?}",
+                        opts.faults
+                    );
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        let archive = tiny_archive();
+        let snaps = [Snapshot::ALL[3], Snapshot::ALL[5]];
+        check(&archive, &snaps, "archive");
+        check(&warc_copy(&archive, &snaps, "relation"), &snaps, "warc");
+    }
+
     /// Truncating a streamed (faulted!) store at a segment boundary and
     /// resuming reproduces the uninterrupted bytes — the embedded
     /// quarantine travels with its segment through the crash.
@@ -856,11 +911,15 @@ mod tests {
         assert_eq!(resumed.resumed_segments, 1, "segment 0 survives the cut");
         assert!(resumed.truncated_bytes > 0, "the torn tail was truncated");
         assert_eq!(std::fs::read(&crash_path).unwrap(), full, "resume reproduces the bytes");
+        // The fault sums cover the kept segment too, not just the rescan.
+        assert!(summary.faulted > 0);
+        assert_eq!((resumed.faulted, resumed.degraded), (summary.faulted, summary.degraded));
 
         // Resuming a complete store is a no-op with the same summary shape.
         let again = scan_streamed(&archive, &snaps, opts.resume(true), &crash_path).unwrap();
         assert_eq!(again.records, resumed.records);
         assert_eq!(again.quarantined, resumed.quarantined);
+        assert_eq!((again.faulted, again.degraded), (summary.faulted, summary.degraded));
         assert_eq!(again.resumed_segments, 3);
         assert_eq!(std::fs::read(&crash_path).unwrap(), full);
 
@@ -998,13 +1057,44 @@ mod tests {
         check(&warc_copy(&archive, &snaps, "threads"), &snaps);
     }
 
+    /// A source whose every page is one byte over the budget.
+    struct Oversized;
+
+    impl PageSource for Oversized {
+        type Locator = ();
+
+        fn provenance(&self) -> (u64, f64, usize) {
+            (0, 0.0, 2)
+        }
+
+        fn list(&self, snapshots: &[Snapshot]) -> Listing<()> {
+            let slots = snapshots
+                .iter()
+                .flat_map(|&snapshot| {
+                    (0..2u64).map(move |d| Slot {
+                        domain_id: d,
+                        domain_name: format!("d{d}.test"),
+                        rank: d as u32 + 1,
+                        snapshot,
+                        urls: (0..3).map(|p| format!("https://d{d}.test/{p}.html")).collect(),
+                        locator: (),
+                    })
+                })
+                .collect();
+            Listing { slots, quarantine: Vec::new() }
+        }
+
+        fn read(&self, _: &Slot<()>, _: usize) -> Result<Vec<u8>, ErrorClass> {
+            Ok(vec![b'a'; DEFAULT_BYTE_BUDGET + 1])
+        }
+    }
+
     #[test]
     fn byte_budget_quarantines_instead_of_parsing() {
-        let archive = tiny_archive();
         let snaps = [Snapshot::ALL[7]];
-        // A 10-byte budget refuses every page — a blunt way to prove the
-        // guard sits in front of the parser.
-        let store = scan_snapshots(&archive, &snaps, ScanOptions::new().threads(2).byte_budget(10));
+        // Every body is over the budget: not one page may reach the parser.
+        let store = scan_snapshots(&Oversized, &snaps, ScanOptions::new().threads(2));
+        assert!(!store.records.is_empty());
         assert!(store.records.iter().all(|r| r.pages_analyzed == 0));
         assert!(store
             .quarantine

@@ -127,9 +127,10 @@ impl ResultStore {
         self.records.iter().filter(|r| r.analyzed()).map(|r| r.domain_id).collect()
     }
 
-    /// Persist as v0 JSON — the export/interchange format. Failures come
-    /// back as the workspace-wide [`HvError`], so callers (CLI, server
-    /// startup) map them uniformly.
+    /// Persist as v0 JSON — the export/interchange format, and its only
+    /// writer (`hva store export`; scans always write v1). Failures come
+    /// back as the workspace-wide [`HvError`], so callers map them
+    /// uniformly.
     ///
     /// Writes through a temp sibling + fsync + rename + parent-dir fsync,
     /// so a crash mid-save never leaves a torn store at `path`.
@@ -185,14 +186,6 @@ impl ResultStore {
             w.finish()
         };
         commit_tmp(write(), &tmp, path)
-    }
-
-    /// Persist in an explicit format.
-    pub fn save_as(&self, path: &Path, fmt: StoreFormat) -> Result<(), HvError> {
-        match fmt {
-            StoreFormat::V0Json => self.save(path),
-            StoreFormat::V1Binary => self.save_v1(path).map(|_| ()),
-        }
     }
 
     /// Load a store, sniffing v0 JSON vs v1 binary by the leading bytes —
@@ -274,8 +267,8 @@ fn commit_tmp<T>(result: Result<T, HvError>, tmp: &Path, path: &Path) -> Result<
 /// The two on-disk encodings of a [`ResultStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreFormat {
-    /// The original single-JSON-blob layout — still the export and
-    /// interchange format.
+    /// The original single-JSON-blob layout — still read everywhere, and
+    /// written only as an export ([`ResultStore::save`]).
     V0Json,
     /// The segmented, checksummed binary layout (see [`crate::format`]).
     V1Binary,
@@ -286,16 +279,6 @@ impl StoreFormat {
         match self {
             StoreFormat::V0Json => "v0-json",
             StoreFormat::V1Binary => "v1-binary",
-        }
-    }
-
-    /// The format a path's extension implies when *writing*: `.json`
-    /// means v0, everything else the binary format. (Reading always
-    /// sniffs content, never the extension.)
-    pub fn for_path(path: &Path) -> StoreFormat {
-        match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => StoreFormat::V0Json,
-            _ => StoreFormat::V1Binary,
         }
     }
 }
@@ -513,8 +496,6 @@ mod tests {
         assert_eq!(loaded.format, StoreFormat::V0Json);
         assert_eq!(loaded.segments, segs);
 
-        assert_eq!(StoreFormat::for_path(&v0), StoreFormat::V0Json);
-        assert_eq!(StoreFormat::for_path(&v1), StoreFormat::V1Binary);
         assert_eq!(StoreFormat::V0Json.name(), "v0-json");
         assert_eq!(StoreFormat::V1Binary.name(), "v1-binary");
         std::fs::remove_file(&v0).ok();

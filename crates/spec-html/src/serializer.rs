@@ -15,17 +15,13 @@ use crate::tags;
 
 /// Serialize a whole document, including any DOCTYPE.
 pub fn serialize(doc: &Document) -> String {
-    let mut out = String::new();
-    for child in doc.children(doc.root()) {
-        serialize_node(doc, child, &mut out);
-    }
-    out
+    serialize_subtree(doc, doc.root())
 }
 
 /// Serialize the subtree rooted at `id` (the node itself plus its contents).
 pub fn serialize_subtree(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    serialize_node(doc, id, &mut out);
+    write_nodes(doc, vec![Step::Node(id)], &mut out);
     out
 }
 
@@ -33,80 +29,107 @@ pub fn serialize_subtree(doc: &Document, id: NodeId) -> String {
 /// of an element — what `innerHTML` returns).
 pub fn serialize_children(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    for child in doc.children(id) {
-        serialize_node(doc, child, &mut out);
-    }
+    let mut stack = Vec::new();
+    push_children(doc, id, &mut stack);
+    write_nodes(doc, stack, &mut out);
     out
 }
 
-fn serialize_node(doc: &Document, id: NodeId, out: &mut String) {
-    match &doc.node(id).data {
-        NodeData::Document => {
-            for child in doc.children(id) {
-                serialize_node(doc, child, out);
+/// One pending unit of output on the explicit walk stack (8 bytes, so a
+/// deep chain's stack stays small).
+enum Step {
+    /// Serialize this node (and, for elements, schedule its contents).
+    Node(NodeId),
+    /// Write this element's end tag; its contents are done.
+    EndTag(NodeId),
+}
+
+/// Push `id`'s children so that the first child pops first.
+fn push_children(doc: &Document, id: NodeId, stack: &mut Vec<Step>) {
+    let mut child = doc.node(id).last_child;
+    while let Some(c) = child {
+        stack.push(Step::Node(c));
+        child = doc.node(c).prev_sibling;
+    }
+}
+
+/// Drain `stack` in document order. The walk keeps its own stack on the
+/// heap, so nesting depth never costs call-stack frames: a 100k-deep
+/// element chain serializes on any thread.
+fn write_nodes(doc: &Document, mut stack: Vec<Step>, out: &mut String) {
+    while let Some(step) = stack.pop() {
+        let id = match step {
+            Step::Node(id) => id,
+            Step::EndTag(id) => {
+                if let Some(e) = doc.element(id) {
+                    out.push_str("</");
+                    out.push_str(&e.name);
+                    out.push('>');
+                }
+                continue;
+            }
+        };
+        match &doc.node(id).data {
+            NodeData::Document => push_children(doc, id, &mut stack),
+            NodeData::Doctype { name, .. } => {
+                out.push_str("<!DOCTYPE ");
+                out.push_str(name);
+                out.push('>');
+            }
+            NodeData::Comment(c) => {
+                out.push_str("<!--");
+                out.push_str(c);
+                out.push_str("-->");
+            }
+            NodeData::Text(t) => write_text(doc, id, t, out),
+            NodeData::Element(e) => {
+                out.push('<');
+                out.push_str(&e.name);
+                for a in &e.attrs {
+                    out.push(' ');
+                    out.push_str(&a.name);
+                    out.push_str("=\"");
+                    escape_attr(&a.value, out);
+                    out.push('"');
+                }
+                out.push('>');
+                // §13.3's "skip the end tag" list is the void elements plus
+                // the legacy quartet basefont/bgsound/frame/keygen.
+                let no_end_tag = e.ns == Namespace::Html
+                    && (tags::is_void(&e.name)
+                        || matches!(e.name.as_str(), "basefont" | "bgsound" | "frame" | "keygen"));
+                if !no_end_tag {
+                    // Foreign elements with no children serialize with an
+                    // explicit end tag too (we never keep the self-closing
+                    // flag in the DOM).
+                    stack.push(Step::EndTag(id));
+                    push_children(doc, id, &mut stack);
+                }
             }
         }
-        NodeData::Doctype { name, .. } => {
-            out.push_str("<!DOCTYPE ");
-            out.push_str(name);
-            out.push('>');
-        }
-        NodeData::Comment(c) => {
-            out.push_str("<!--");
-            out.push_str(c);
-            out.push_str("-->");
-        }
-        NodeData::Text(t) => {
-            // Text inside the spec's "literal text" elements is emitted
-            // verbatim; everything else is escaped. `noscript` is NOT in
-            // this set: §13.2 only exempts it "if the scripting flag is
-            // enabled", and this parser runs scripting-disabled (noscript
-            // children are real markup, so their text must re-escape or
-            // `&lt` inside noscript round-trips into a bogus tag).
-            let parent_name = doc
-                .node(id)
-                .parent
-                .and_then(|p| doc.element(p))
-                .filter(|e| e.ns == Namespace::Html)
-                .map(|e| e.name.clone());
-            let literal = matches!(
-                parent_name.as_deref(),
-                Some("style" | "script" | "xmp" | "iframe" | "noembed" | "noframes" | "plaintext")
-            );
-            if literal {
-                out.push_str(t);
-            } else {
-                escape_text(t, out);
-            }
-        }
-        NodeData::Element(e) => {
-            out.push('<');
-            out.push_str(&e.name);
-            for a in &e.attrs {
-                out.push(' ');
-                out.push_str(&a.name);
-                out.push_str("=\"");
-                escape_attr(&a.value, out);
-                out.push('"');
-            }
-            out.push('>');
-            // §13.3's "skip the end tag" list is the void elements plus the
-            // legacy quartet basefont/bgsound/frame/keygen.
-            let no_end_tag = e.ns == Namespace::Html
-                && (tags::is_void(&e.name)
-                    || matches!(e.name.as_str(), "basefont" | "bgsound" | "frame" | "keygen"));
-            if no_end_tag {
-                return;
-            }
-            // Foreign elements with no children serialize with an explicit
-            // end tag too (we never keep the self-closing flag in the DOM).
-            for child in doc.children(id) {
-                serialize_node(doc, child, out);
-            }
-            out.push_str("</");
-            out.push_str(&e.name);
-            out.push('>');
-        }
+    }
+}
+
+fn write_text(doc: &Document, id: NodeId, t: &str, out: &mut String) {
+    // Text inside the spec's "literal text" elements is emitted verbatim;
+    // everything else is escaped. `noscript` is NOT in this set: §13.2 only
+    // exempts it "if the scripting flag is enabled", and this parser runs
+    // scripting-disabled (noscript children are real markup, so their text
+    // must re-escape or `&lt` inside noscript round-trips into a bogus tag).
+    let parent_name = doc
+        .node(id)
+        .parent
+        .and_then(|p| doc.element(p))
+        .filter(|e| e.ns == Namespace::Html)
+        .map(|e| e.name.clone());
+    let literal = matches!(
+        parent_name.as_deref(),
+        Some("style" | "script" | "xmp" | "iframe" | "noembed" | "noframes" | "plaintext")
+    );
+    if literal {
+        out.push_str(t);
+    } else {
+        escape_text(t, out);
     }
 }
 
@@ -199,6 +222,40 @@ mod tests {
         let once = roundtrip(messy);
         let twice = roundtrip(&once);
         assert_eq!(once, twice);
+    }
+
+    /// Nesting depth costs heap, not call stack: a 100k-deep chain
+    /// (built directly; the tree builder is not under test) serializes on
+    /// a thread with a 2 MiB stack, and every level opens and closes.
+    #[test]
+    fn deep_chain_serializes_on_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        let out = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut doc = Document::new();
+                let mut parent = doc.root();
+                for _ in 0..DEPTH {
+                    let e = doc.create_element("div", Namespace::Html, Vec::new());
+                    doc.append(parent, e);
+                    parent = e;
+                }
+                doc.append_text(parent, "x<");
+                serialize(&doc)
+            })
+            .unwrap()
+            .join()
+            .expect("serializer must not overflow the stack");
+        assert_eq!(out, format!("{}x&lt;{}", "<div>".repeat(DEPTH), "</div>".repeat(DEPTH)));
+    }
+
+    #[test]
+    fn children_and_subtree_forms_agree_with_the_whole() {
+        let doc = parse_document("<!DOCTYPE html><p id=a>one<b>two</b><!--c--></p><br>").dom;
+        let p = doc.find_html("p").unwrap();
+        assert_eq!(serialize_subtree(&doc, p), r#"<p id="a">one<b>two</b><!--c--></p>"#);
+        assert_eq!(serialize_children(&doc, p), "one<b>two</b><!--c-->");
+        assert_eq!(serialize_subtree(&doc, doc.root()), serialize(&doc));
     }
 
     #[test]

@@ -78,9 +78,4 @@ pub mod prelude {
     };
     pub use hv_server::{serve, ServeOptions};
     pub use spec_html::{parse_document, serializer::serialize};
-
-    /// Deprecated one-shot shim, kept for one release; use
-    /// [`Battery::full`] + [`Battery::run_str`].
-    #[allow(deprecated)]
-    pub use hv_core::checkers::check_page;
 }

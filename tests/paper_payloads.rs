@@ -4,8 +4,7 @@
 
 use html_violations::prelude::*;
 
-/// Local one-shot: shadows the deprecated prelude shim of the same name so
-/// the 15 payload tests below stay on the supported [`Battery`] path.
+/// Local one-shot over a fresh [`Battery`].
 fn check_page(page: &str) -> PageReport {
     Battery::full().run_str(page)
 }

@@ -5,10 +5,9 @@
 //! (what `hva check` runs), saturation answers 503 with `Retry-After`
 //! instead of dropping connections, an oversized body is refused with 413
 //! before the server reads it, a malformed request line gets 400, graceful
-//! shutdown finishes in-flight requests, and the deprecated one-shot shims
-//! still agree with the supported `Battery` methods.
+//! shutdown finishes in-flight requests, and one deeply nested document
+//! cannot take the server down.
 
-use html_violations::hv_core::CheckContext;
 use html_violations::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -227,28 +226,23 @@ fn healthz_and_metricsz_respond() {
     server.shutdown();
 }
 
-/// The deprecated one-shot shims must stay behaviourally identical to the
-/// supported `Battery` methods for as long as they live.
+/// Nesting depth costs heap, not worker stack: `/v1/fix` serializes a
+/// 30k-deep SVG tree and answers, and the server is still up afterwards.
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_agree_with_battery_methods() {
-    let page = r#"<img src="logo.png"onerror="alert(1)"><table><tr><b>x</b></tr></table>"#;
-    let mut battery = Battery::full();
+fn deeply_nested_fix_answers_and_server_survives() {
+    let (server, addr) = start(ServeOptions::new().addr("127.0.0.1:0").threads(1).queue_depth(4));
 
-    let via_shim = check_page(page);
-    let via_battery = battery.run_str(page);
-    assert_eq!(via_shim.findings, via_battery.findings);
-    assert_eq!(via_shim.mitigations, via_battery.mitigations);
+    let deep = format!("<svg>{}", "<g>".repeat(30_000));
+    let (status, _, body) = post(&addr, "/v1/fix", "text/html", deep.as_bytes());
+    assert!(status.contains("200"), "deep /v1/fix: {status}");
+    assert!(body.contains("fixed_html"), "deep /v1/fix body: {}", &body[..body.len().min(200)]);
 
-    let via_shim = html_violations::hv_core::checkers::check_fragment(page);
-    let via_battery = battery.run_fragment(page, "div");
-    assert_eq!(via_shim.findings, via_battery.findings);
+    let healthz = b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n";
+    let (status, _, body) = roundtrip(&addr, healthz);
+    assert!(status.contains("200"), "healthz after deep fix: {status}");
+    assert!(body.contains("ok"), "healthz body: {body}");
 
-    let cx = CheckContext::new(page);
-    let via_shim = html_violations::hv_core::checkers::check_context(&cx);
-    let via_battery = battery.run(&cx);
-    assert_eq!(via_shim.findings, via_battery.findings);
-    assert_eq!(via_shim.mitigations, via_battery.mitigations);
+    server.shutdown();
 }
 
 /// Read exactly `n` responses off one keep-alive connection, splitting on

@@ -41,7 +41,7 @@ fn golden_migration_renders_every_experiment_byte_identical() {
     assert!(!v0.records.is_empty(), "fixture must hold records");
 
     let v1_path = temp_path("migrated.hvs");
-    v0.save_as(&v1_path, StoreFormat::V1Binary).unwrap();
+    v0.save_v1(&v1_path).unwrap();
     let v1 = IndexedStore::load(&v1_path).unwrap();
     assert_eq!(v1.format, Some(StoreFormat::V1Binary));
 

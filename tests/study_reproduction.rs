@@ -128,9 +128,11 @@ fn store_roundtrip_preserves_aggregates() {
     std::fs::create_dir_all(&dir).unwrap();
     // Both on-disk formats must round-trip to the same aggregates, and
     // the legacy per-query folds must agree with the one-pass index.
-    for name in ["store.json", "store.hvs"] {
-        let path = dir.join(name);
-        store().save_as(&path, StoreFormat::for_path(&path)).unwrap();
+    let (json, v1) = (dir.join("store.json"), dir.join("store.hvs"));
+    store().save(&json).unwrap();
+    store().save_v1(&v1).unwrap();
+    for path in [json, v1] {
+        let name = path.display();
         let loaded = IndexedStore::load(&path).unwrap();
         assert_eq!(
             store().index.violating_domains_by_year(),
