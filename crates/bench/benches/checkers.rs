@@ -34,12 +34,12 @@ fn bench_full_battery(c: &mut Criterion) {
 
 fn bench_individual_rules(c: &mut Criterion) {
     // Per-rule cost of the pre-fusion scans (the fused engine has no
-    // isolated per-rule path; `legacy::ALL` keeps the per-rule series
+    // isolated per-rule path; `hv_oracle::checkers::ALL` keeps the per-rule series
     // comparable across builds).
     let page = hv_bench::violating_page();
     let cx = CheckContext::new(&page);
     let mut g = c.benchmark_group("per_rule");
-    for (kind, check) in checkers::legacy::ALL {
+    for (kind, check) in hv_oracle::checkers::ALL {
         g.bench_function(kind.id(), |b| {
             b.iter(|| {
                 let mut out = Vec::new();

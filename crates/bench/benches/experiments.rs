@@ -6,11 +6,12 @@
 //! dump. The aggregation cost is what a researcher iterating on queries
 //! would feel against the paper's Postgres. Queries read the one-pass
 //! [`AggregateIndex`](hv_pipeline::AggregateIndex); `table2_legacy` keeps
-//! the per-query record fold on the board as the before/after baseline.
+//! the per-query record fold (`hv_oracle::aggregate`) on the board as the before/after baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hv_corpus::{Archive, CorpusConfig, Snapshot};
-use hv_pipeline::{aggregate, scan, IndexedStore, ScanOptions};
+use hv_oracle::aggregate;
+use hv_pipeline::{scan, IndexedStore, ScanOptions};
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -35,7 +36,7 @@ fn bench_tables(c: &mut Criterion) {
     println!("{}", hv_report::experiments::table2(store));
     g.bench_function("table2", |b| b.iter(|| black_box(store.index.table2()).len()));
     g.bench_function("table2_legacy", |b| {
-        b.iter(|| black_box(aggregate::legacy::table2(black_box(store))).len())
+        b.iter(|| black_box(aggregate::table2(black_box(store))).len())
     });
 
     g.finish();

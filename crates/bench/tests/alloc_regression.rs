@@ -14,6 +14,8 @@
 
 use hv_bench::alloc::count_allocations;
 use hv_bench::{dense_violating_page, profile_page};
+use hv_core::CheckContext;
+use spec_html::decoder::{decode_utf8, Decoded};
 use std::sync::{Mutex, MutexGuard};
 
 /// The allocation counter is process-wide: tests run one at a time.
@@ -34,14 +36,18 @@ fn parse_allocs(page: &str) -> u64 {
     n
 }
 
-/// Measure steady-state allocs for one fused battery run (parse + all 20
-/// checks) with a reused Battery, as the scan engine runs it.
+/// Measure steady-state allocs for one fused battery run (UTF-8 gate,
+/// parse + all 20 checks) with a reused Battery, as the scan engine runs
+/// it.
 fn battery_allocs(page: &str) -> u64 {
     let mut battery = hv_core::Battery::full();
-    let _ = battery.run_bytes(page.as_bytes());
-    let (_, n) = count_allocations(|| {
-        let _ = battery.run_bytes(page.as_bytes());
-    });
+    let mut run = || {
+        if let Decoded::Utf8(text) = decode_utf8(page.as_bytes()) {
+            battery.run_ref(&CheckContext::new(text));
+        }
+    };
+    run();
+    let (_, n) = count_allocations(run);
     n
 }
 

@@ -16,7 +16,8 @@
 //! mitigation flags). Findings are sorted by `(kind, offset)` at the end;
 //! since every kind belongs to exactly one rule and each rule sees its
 //! items in the same source order the pre-fusion per-rule scans used, the
-//! output is byte-identical to [`checkers::legacy`].
+//! output is byte-identical to the pre-fusion battery kept as the
+//! equivalence oracle in the test-support crate (`hv_oracle::checkers`).
 //!
 //! The battery also carries the observability hooks of the page-granular
 //! scan engine: [`Battery::run_instrumented`] times each rule and feeds
@@ -44,9 +45,9 @@ use crate::taxonomy::ViolationKind;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Why a raw byte body could not be analyzed. Returned by
-/// [`Battery::try_run_bytes`] so callers classify the page instead of
-/// silently dropping it.
+/// Why a raw byte body could not be analyzed, so callers classify the
+/// page instead of silently dropping it. The server answers 413/400 with
+/// it through [`HvError::Input`](crate::HvError::Input).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputError {
     /// Not valid UTF-8 — excluded by the study's §4.1 inclusion filter.
@@ -262,39 +263,6 @@ impl Battery {
         self.run(&cx)
     }
 
-    /// Run the battery over a raw byte body, applying the study's UTF-8
-    /// inclusion filter. Validation borrows — no decode-time copy is made.
-    /// Returns `None` when the bytes are not valid UTF-8 (the document is
-    /// excluded from measurement); the returned reference is valid until
-    /// the next `run_*` call.
-    pub fn run_bytes(&mut self, bytes: &[u8]) -> Option<&PageReport> {
-        self.try_run_bytes(bytes, usize::MAX).ok()
-    }
-
-    /// Like [`Battery::run_bytes`], but with a structured verdict instead
-    /// of trusting the input: says *why* a body was not analyzed
-    /// ([`InputError`]) and refuses bodies over `byte_budget` **before**
-    /// decoding — the guard a fault-tolerant scan needs against oversized
-    /// records. Pass `usize::MAX` for no budget.
-    pub fn try_run_bytes(
-        &mut self,
-        bytes: &[u8],
-        byte_budget: usize,
-    ) -> Result<&PageReport, InputError> {
-        if bytes.len() > byte_budget {
-            return Err(InputError::TooLarge { len: bytes.len(), budget: byte_budget });
-        }
-        match spec_html::decoder::decode_utf8(bytes) {
-            spec_html::decoder::Decoded::Utf8(text) => {
-                let cx = CheckContext::new(text);
-                Ok(self.run_ref(&cx))
-            }
-            spec_html::decoder::Decoded::NotUtf8 { valid_up_to } => {
-                Err(InputError::NotUtf8 { valid_up_to })
-            }
-        }
-    }
-
     /// A stats accumulator shaped to this battery (one slot per rule).
     pub fn new_stats(&self) -> BatteryStats {
         BatteryStats { per_check: self.kinds.iter().map(|&k| (k, CheckStats::default())).collect() }
@@ -479,35 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn run_bytes_filters_and_matches_run_str() {
-        let mut battery = Battery::full();
-        let via_str = battery.run_str(DIRTY);
-        let via_bytes = battery.run_bytes(DIRTY.as_bytes()).expect("clean UTF-8").clone();
-        assert_eq!(via_str.findings, via_bytes.findings);
-        // Non-UTF-8 bodies are excluded, mirroring the paper's filter.
-        assert!(battery.run_bytes(b"<p>gr\xFC\xDFe</p>").is_none());
-        // A UTF-8 BOM is stripped before parsing.
-        let bom = [b"\xEF\xBB\xBF".as_slice(), DIRTY.as_bytes()].concat();
-        assert_eq!(battery.run_bytes(&bom).unwrap().findings, via_str.findings);
-    }
-
-    #[test]
-    fn try_run_bytes_classifies_instead_of_trusting() {
-        let mut battery = Battery::full();
-        let ok = battery.try_run_bytes(DIRTY.as_bytes(), usize::MAX).unwrap().clone();
-        assert_eq!(ok.findings, battery.run_str(DIRTY).findings);
-        assert_eq!(
-            battery.try_run_bytes(b"<p>gr\xFC\xDFe</p>", usize::MAX).err(),
-            Some(InputError::NotUtf8 { valid_up_to: 5 })
-        );
-        // Budget is enforced on raw length, before any decode work.
-        assert_eq!(
-            battery.try_run_bytes(DIRTY.as_bytes(), 4).err(),
-            Some(InputError::TooLarge { len: DIRTY.len(), budget: 4 })
-        );
-    }
-
-    #[test]
     fn only_restricts_the_rule_set() {
         let mut fb = Battery::only(&[ViolationKind::FB1, ViolationKind::FB2]);
         assert_eq!(fb.kinds(), &[ViolationKind::FB1, ViolationKind::FB2]);
@@ -548,15 +487,6 @@ mod tests {
         // The instrumented findings agree with the plain run.
         let plain = battery.run(&cx);
         assert_eq!(stats.findings_total(), 2 * plain.findings.len() as u64);
-    }
-
-    #[test]
-    fn fused_engine_matches_legacy_scans() {
-        let cx = CheckContext::new(DIRTY);
-        let fused = Battery::full().run(&cx);
-        let legacy = checkers::legacy::run(&cx);
-        assert_eq!(fused.findings, legacy.findings);
-        assert_eq!(fused.mitigations, legacy.mitigations);
     }
 
     #[test]

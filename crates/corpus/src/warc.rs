@@ -5,12 +5,13 @@
 //! snapshots as standard WARC response records with embedded HTTP
 //! responses, indexed by CDXJ lines (SURT key, 14-digit timestamp, JSON
 //! payload with offset/length) — the same layout CC's `cc-index` serves —
-//! and reads them back by (offset, length) exactly like a ranged S3 fetch.
+//! and parses each record a reader fetched by (offset, length), exactly
+//! like a ranged S3 fetch.
 
 use crate::archive::Archive;
 use crate::snapshots::Snapshot;
 use std::fmt::Write as _;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// One CDXJ index line.
@@ -154,11 +155,6 @@ pub enum WarcError {
     Truncated { need: usize, have: usize },
     /// The embedded HTTP response has no header terminator.
     MissingHttpTerminator,
-    /// The index claims a record length beyond the read cap — refuse to
-    /// allocate for it (a corrupt CDX length digit can claim gigabytes).
-    OversizedRecord { length: u64, cap: u64 },
-    /// An I/O error from the underlying stream (seek/read).
-    Io(std::io::ErrorKind),
 }
 
 impl std::fmt::Display for WarcError {
@@ -172,21 +168,11 @@ impl std::fmt::Display for WarcError {
                 write!(f, "record truncated: Content-Length needs {need} bytes, have {have}")
             }
             WarcError::MissingHttpTerminator => write!(f, "missing HTTP terminator"),
-            WarcError::OversizedRecord { length, cap } => {
-                write!(f, "record length {length} exceeds the {cap}-byte read cap")
-            }
-            WarcError::Io(kind) => write!(f, "I/O error: {kind:?}"),
         }
     }
 }
 
 impl std::error::Error for WarcError {}
-
-impl From<std::io::Error> for WarcError {
-    fn from(e: std::io::Error) -> Self {
-        WarcError::Io(e.kind())
-    }
-}
 
 impl From<WarcError> for io::Error {
     fn from(e: WarcError) -> Self {
@@ -194,26 +180,10 @@ impl From<WarcError> for io::Error {
     }
 }
 
-/// Largest record `read_record` will buffer. Common Crawl truncates records
+/// Largest record a reader will buffer. Common Crawl truncates records
 /// at 1 MiB; a 1 GiB cap leaves three orders of magnitude of headroom while
 /// still refusing to allocate for a corrupt length field.
 pub const MAX_RECORD_LENGTH: u64 = 1 << 30;
-
-/// Read the record at (offset, length) from a seekable WARC stream — the
-/// moral equivalent of an S3 ranged GET against a CC crawl segment.
-pub fn read_record<R: Read + Seek>(
-    r: &mut R,
-    offset: u64,
-    length: u64,
-) -> Result<ReadRecord, WarcError> {
-    if length > MAX_RECORD_LENGTH {
-        return Err(WarcError::OversizedRecord { length, cap: MAX_RECORD_LENGTH });
-    }
-    r.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; length as usize];
-    r.read_exact(&mut buf)?;
-    parse_record(&buf)
-}
 
 /// Parse one raw WARC record (headers + HTTP response + trailing CRLFs).
 pub fn parse_record(raw: &[u8]) -> Result<ReadRecord, WarcError> {
@@ -306,18 +276,6 @@ pub fn export_snapshot(
     Ok((warc_path, cdx_path, n))
 }
 
-/// Load a CDXJ index file. Strict: any malformed line aborts the load.
-pub fn load_cdxj(path: &Path) -> io::Result<Vec<CdxjLine>> {
-    let text = std::fs::read_to_string(path)?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            CdxjLine::parse(l)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("bad CDXJ: {l}")))
-        })
-        .collect()
-}
-
 /// A malformed CDXJ index line: `(1-based line number, raw text)`.
 pub type BadCdxjLine = (usize, String);
 
@@ -345,6 +303,15 @@ pub fn load_cdxj_lenient(path: &Path) -> io::Result<(Vec<CdxjLine>, Vec<BadCdxjL
 mod tests {
     use super::*;
     use crate::archive::CorpusConfig;
+
+    /// The record at (offset, length) of an in-memory WARC file.
+    pub(super) fn record_at(
+        warc: &[u8],
+        offset: u64,
+        length: u64,
+    ) -> Result<ReadRecord, WarcError> {
+        parse_record(&warc[offset as usize..(offset + length) as usize])
+    }
 
     #[test]
     fn surt_forms() {
@@ -381,10 +348,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(o2, l1);
-        let rec1 = read_record(&mut buf, o1, l1).unwrap();
+        let rec1 = record_at(buf.get_ref(), o1, l1).unwrap();
         assert_eq!(rec1.url, "https://a.example/");
         assert_eq!(rec1.body, b"<p>one</p>");
-        let rec2 = read_record(&mut buf, o2, l2).unwrap();
+        let rec2 = record_at(buf.get_ref(), o2, l2).unwrap();
         assert_eq!(rec2.body, "<p>zwölf</p>".as_bytes());
         assert_eq!(rec2.date, "2022-01-20T00:00:00Z");
     }
@@ -396,14 +363,15 @@ mod tests {
         let snap = Snapshot::ALL[7];
         let (warc, cdx, n) = export_snapshot(&archive, snap, &dir, 3).unwrap();
         assert!(n > 0);
-        let index = load_cdxj(&cdx).unwrap();
+        let (index, malformed) = load_cdxj_lenient(&cdx).unwrap();
+        assert!(malformed.is_empty());
         assert_eq!(index.len(), n);
         // SURT-sorted.
         assert!(index.windows(2).all(|w| w[0].surt <= w[1].surt));
         // Every indexed record reads back and matches the virtual archive.
-        let mut f = std::fs::File::open(&warc).unwrap();
+        let warc = std::fs::read(&warc).unwrap();
         for line in index.iter().take(10) {
-            let rec = read_record(&mut f, line.offset, line.length).unwrap();
+            let rec = record_at(&warc, line.offset, line.length).unwrap();
             assert_eq!(rec.url, line.url);
             assert!(!rec.body.is_empty());
         }
@@ -420,6 +388,7 @@ mod tests {
 
 #[cfg(test)]
 mod warc_props {
+    use super::tests::record_at;
     use super::*;
     use proptest::prelude::*;
 
@@ -444,7 +413,7 @@ mod warc_props {
                 ).unwrap()));
             }
             for ((url, (offset, length)), body) in spans.iter().zip(&bodies) {
-                let rec = read_record(&mut buf, *offset, *length).unwrap();
+                let rec = record_at(buf.get_ref(), *offset, *length).unwrap();
                 prop_assert_eq!(&rec.url, url);
                 prop_assert_eq!(&rec.body, body);
             }
@@ -476,9 +445,8 @@ mod warc_props {
             let mut mutated = clean.clone();
             let pos = (pos_seed % clean.len() as u64) as usize;
             mutated[pos] ^= flip; // flip != 0, so the byte really changes
-            let mut cur = std::io::Cursor::new(mutated);
             for ((offset, length), body) in spans.iter().zip(&bodies) {
-                match read_record(&mut cur, *offset, *length) {
+                match record_at(&mutated, *offset, *length) {
                     Ok(rec) => {
                         // Parsed: the record either missed the mutation
                         // entirely (identical body) or absorbed it into a

@@ -11,7 +11,7 @@
 //! | name | invariant |
 //! |---|---|
 //! | `tokenizer-equivalence` | batched fast paths ≡ pure scalar machine (tokens **and** errors) |
-//! | `battery-equivalence` | fused dispatch engine ≡ pre-fusion `checkers::legacy` battery |
+//! | `battery-equivalence` | fused dispatch engine ≡ pre-fusion `hv_oracle::checkers` battery |
 //! | `serializer-fixpoint` | serialize ∘ parse converges after one round (mXSS may mutate once) |
 //! | `atom-agreement` | every atom-keyed tag predicate ≡ its string reference |
 //! | `autofix-soundness` | §4.4 auto-fix output re-checks clean of automatic kinds, and converges |
@@ -27,7 +27,7 @@
 //! `--oracle` CLI filter, the replay harness, and minimization all pick
 //! it up from the registry.
 
-use hv_core::{autofix, checkers, Battery, CheckContext, Fixability};
+use hv_core::{autofix, Battery, CheckContext, Fixability};
 use hv_server::api::v1::CheckResponse;
 use spec_html::{serializer, tags, ErrorCode};
 use std::io::{Read, Write};
@@ -142,13 +142,13 @@ impl Oracle for BatteryEquivalence {
     }
 
     fn describe(&self) -> &'static str {
-        "fused dispatch engine reports identical findings to the pre-fusion checkers::legacy battery"
+        "fused dispatch engine reports identical findings to the pre-fusion hv_oracle::checkers battery"
     }
 
     fn check(&mut self, case: &str) -> Result<(), String> {
         let cx = CheckContext::new(case);
         let fused = self.battery.run(&cx);
-        let legacy = checkers::legacy::run(&cx);
+        let legacy = hv_oracle::checkers::run(&cx);
         if fused.findings != legacy.findings {
             return Err(format!(
                 "findings diverge: fused={:?} legacy={:?}",

@@ -14,8 +14,9 @@
 //!    is byte-identical to the same record from a zero-fault run: the
 //!    failure-handling machinery has no observable effect where nothing
 //!    failed.
-//! 4. **Accounting closes** — per-record quarantine counters reconcile
-//!    with the per-page quarantine entries exactly.
+//! 4. **Accounting closes** — per-record quarantine counters, plus the
+//!    entries quarantined while listing, reconcile with the quarantine
+//!    entries exactly.
 //! 5. **Crash-resume is identical** — a streamed faulted scan cut at any
 //!    staged byte point and resumed (`hva scan --resume`) reproduces the
 //!    uninterrupted store byte for byte: durability composes with the
@@ -171,12 +172,17 @@ pub fn run_chaos<S: PageSource>(
             ),
         });
 
-        // Invariant 4: counters and audit entries agree.
+        // Invariant 4: counters and audit entries agree. Entries
+        // quarantined while listing (a malformed index line) name no page
+        // and belong to no record, so they are counted on their own.
         let entries = store.quarantine.len() as u64;
+        let listed = source.list(snapshots).quarantine.len() as u64;
         checks.push(ChaosCheck {
             name: "quarantine-accounting",
-            passed: entries == quarantined,
-            detail: format!("{entries} quarantine entries vs {quarantined} counted on records"),
+            passed: entries == quarantined + listed,
+            detail: format!(
+                "{entries} quarantine entries vs {quarantined} counted on records + {listed} while listing"
+            ),
         });
     } else {
         checks.push(ChaosCheck {
@@ -319,6 +325,26 @@ mod tests {
         let report = run_chaos(&source, FaultPlan::new(9, 0.2).unwrap(), &[snap], &[1, 3]);
         assert!(report.passed(), "{}", report.render());
         assert!(report.pages_quarantined > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A malformed CDXJ line is quarantined while listing and belongs to
+    /// no record; the accounting counts it on its own.
+    #[test]
+    fn chaos_passes_over_a_warc_directory_with_a_malformed_cdxj_line() {
+        let archive = Archive::new(CorpusConfig { seed: 77, scale: 0.002 });
+        let snap = Snapshot::ALL[7];
+        let dir = std::env::temp_dir().join("hv_chaos_warc_bad_cdxj");
+        std::fs::remove_dir_all(&dir).ok();
+        let (_, cdx, _) = hv_corpus::warc::export_snapshot(&archive, snap, &dir, 12).unwrap();
+        let mut index = std::fs::OpenOptions::new().append(true).open(&cdx).unwrap();
+        std::io::Write::write_all(&mut index, b"garbage line with no json\n").unwrap();
+        drop(index);
+        let inputs = crate::warcscan::discover(&dir).unwrap();
+        let source = crate::warcscan::WarcSource::open(&inputs).unwrap();
+        let report = run_chaos(&source, FaultPlan::new(9, 0.2).unwrap(), &[snap], &[1, 3]);
+        assert!(report.passed(), "{}", report.render());
+        assert!(report.render().contains("+ 1 while listing"), "{}", report.render());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -25,8 +25,8 @@
 //!   segmented binary layout with per-segment checksums and summaries.
 //! * [`aggregate`] — the one-pass [`AggregateIndex`]: every number behind
 //!   Tables 1–2, Figures 8–10 and 16–21 folded in a single O(records)
-//!   sweep, with the original per-query scans kept in
-//!   [`aggregate::legacy`] as the equivalence oracle.
+//!   sweep. The original per-query scans are the equivalence oracle and
+//!   live in the test-support crate as `hv_oracle::aggregate`.
 //! * [`outcome`] — the failure model: every listed page is analyzed,
 //!   analyzed after retries (degraded), or quarantined with a structured
 //!   [`ErrorClass`]; never a dead worker, never a silent skip.

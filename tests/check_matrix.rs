@@ -4,12 +4,12 @@
 //! trigger exactly that rule) and a negative fixture (a near-miss that must
 //! not). On top of the matrix, the fused dispatch engine is checked to be
 //! *report-identical* to the pre-fusion per-rule scans
-//! (`hv_core::checkers::legacy`) — on every fixture and on
+//! (`hv_oracle::checkers`) — on every fixture and on
 //! property-generated HTML soup.
 
-use html_violations::hv_core::checkers::legacy;
 use html_violations::hv_core::CheckContext;
 use html_violations::prelude::*;
+use hv_oracle::checkers as legacy;
 use proptest::prelude::*;
 
 /// (kind, fires-on, must-not-fire-on). Negatives are near-misses for the

@@ -11,10 +11,11 @@
 use html_violations::hv_core::{MitigationFlags, ViolationKind};
 use html_violations::hv_corpus::Snapshot;
 use html_violations::hv_pipeline::{
-    aggregate, AggregateIndex, DomainYearRecord, IndexedStore, LoadOptions, QuarantineEntry,
-    ResultStore, ScanMetrics, StoreFormat,
+    AggregateIndex, DomainYearRecord, IndexedStore, LoadOptions, QuarantineEntry, ResultStore,
+    ScanMetrics, StoreFormat,
 };
 use html_violations::hv_report;
+use hv_oracle::aggregate;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -83,18 +84,12 @@ fn migration_to_v1_and_back_is_byte_lossless() {
 fn fixture_index_matches_legacy_oracle() {
     let store = ResultStore::load(Path::new(FIXTURE)).unwrap();
     let index = AggregateIndex::build(&store);
-    assert_eq!(json(&index.table2()), json(&aggregate::legacy::table2(&store)));
-    assert_eq!(index.table2_total(), aggregate::legacy::table2_total(&store));
-    assert_eq!(
-        json(&index.overall_distribution()),
-        json(&aggregate::legacy::overall_distribution(&store))
-    );
-    assert_eq!(index.overall_violating_share(), aggregate::legacy::overall_violating_share(&store));
-    assert_eq!(
-        index.violating_domains_by_year(),
-        aggregate::legacy::violating_domains_by_year(&store)
-    );
-    assert_eq!(json(&index.violation_churn()), json(&aggregate::legacy::violation_churn(&store)));
+    assert_eq!(json(&index.table2()), json(&aggregate::table2(&store)));
+    assert_eq!(index.table2_total(), aggregate::table2_total(&store));
+    assert_eq!(json(&index.overall_distribution()), json(&aggregate::overall_distribution(&store)));
+    assert_eq!(index.overall_violating_share(), aggregate::overall_violating_share(&store));
+    assert_eq!(index.violating_domains_by_year(), aggregate::violating_domains_by_year(&store));
+    assert_eq!(json(&index.violation_churn()), json(&aggregate::violation_churn(&store)));
 }
 
 fn kinds_from_bits(bits: u32) -> BTreeSet<ViolationKind> {
@@ -199,46 +194,46 @@ proptest! {
     #[test]
     fn index_matches_legacy_oracle_on_any_store(store in arb_store()) {
         let index = AggregateIndex::build(&store);
-        prop_assert_eq!(json(&index.table2()), json(&aggregate::legacy::table2(&store)));
-        prop_assert_eq!(index.table2_total(), aggregate::legacy::table2_total(&store));
+        prop_assert_eq!(json(&index.table2()), json(&aggregate::table2(&store)));
+        prop_assert_eq!(index.table2_total(), aggregate::table2_total(&store));
         prop_assert_eq!(
             json(&index.overall_distribution()),
-            json(&aggregate::legacy::overall_distribution(&store))
+            json(&aggregate::overall_distribution(&store))
         );
         prop_assert_eq!(
             index.overall_violating_share().to_bits(),
-            aggregate::legacy::overall_violating_share(&store).to_bits()
+            aggregate::overall_violating_share(&store).to_bits()
         );
         prop_assert_eq!(
             index.violating_domains_by_year(),
-            aggregate::legacy::violating_domains_by_year(&store)
+            aggregate::violating_domains_by_year(&store)
         );
-        prop_assert_eq!(json(&index.group_trends()), json(&aggregate::legacy::group_trends(&store)));
+        prop_assert_eq!(json(&index.group_trends()), json(&aggregate::group_trends(&store)));
         for kind in ViolationKind::ALL {
             prop_assert_eq!(
                 index.kind_trend(kind),
-                aggregate::legacy::kind_trend(&store, kind),
+                aggregate::kind_trend(&store, kind),
                 "kind_trend({})", kind.id()
             );
         }
         for snap in Snapshot::ALL {
             prop_assert_eq!(
                 json(&index.autofix_projection(snap)),
-                json(&aggregate::legacy::autofix_projection(&store, snap))
+                json(&aggregate::autofix_projection(&store, snap))
             );
         }
         prop_assert_eq!(
             json(&index.mitigation_trends()),
-            json(&aggregate::legacy::mitigation_trends(&store))
+            json(&aggregate::mitigation_trends(&store))
         );
         prop_assert_eq!(
             json(&index.rollout_breakage()),
-            json(&aggregate::legacy::rollout_breakage(&store))
+            json(&aggregate::rollout_breakage(&store))
         );
-        prop_assert_eq!(index.math_usage_by_year(), aggregate::legacy::math_usage_by_year(&store));
+        prop_assert_eq!(index.math_usage_by_year(), aggregate::math_usage_by_year(&store));
         prop_assert_eq!(
             json(&index.violation_churn()),
-            json(&aggregate::legacy::violation_churn(&store))
+            json(&aggregate::violation_churn(&store))
         );
     }
 }
