@@ -18,6 +18,7 @@
 //! reports which violations disappeared and which (manual) ones remain.
 
 use crate::battery::Battery;
+use crate::context::head_subtree;
 use crate::taxonomy::{Fixability, ViolationKind};
 use spec_html::dom::{Document, NodeId};
 use spec_html::serializer;
@@ -92,15 +93,17 @@ pub fn fixable_kinds(kinds: &BTreeSet<ViolationKind>) -> BTreeSet<ViolationKind>
 fn relocate_head_content(dom: &mut Document) {
     let Some(head) = dom.find_html("head") else { return };
 
+    let under_head = head_subtree(dom);
+
     // Collect offending nodes first (can't mutate while iterating).
     let mut stray_metas: Vec<NodeId> = Vec::new();
     let mut bases: Vec<NodeId> = Vec::new();
-    for id in dom.all_elements().collect::<Vec<_>>() {
+    for id in dom.all_elements() {
         if dom.is_html(id, "base") {
             bases.push(id);
         } else if dom.is_html(id, "meta")
             && dom.element(id).is_some_and(|e| e.has_attr("http-equiv"))
-            && !dom.ancestors(id).any(|a| dom.is_html(a, "head"))
+            && !under_head[id.index()]
         {
             stray_metas.push(id);
         }
@@ -229,6 +232,32 @@ mod tests {
         assert!(out.before.is_empty());
         assert!(out.after.is_empty());
         assert_eq!(out.fixed_html, src);
+    }
+
+    /// Stray `meta[http-equiv]` inside deep open `span`s: the relocation
+    /// must not walk every meta's ancestor chain.
+    #[test]
+    fn stray_meta_relocation_is_linear_in_depth() {
+        fn time(html: &str) -> std::time::Duration {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    auto_fix(html);
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        let n = 4000;
+        let deep: String =
+            (0..n).map(|i| format!("<span><meta http-equiv=x content=c{i}>")).collect();
+        let flat: String =
+            (0..n).map(|i| format!("<span><meta http-equiv=x content=c{i}></span>")).collect();
+        let (deep, flat) = (time(&deep), time(&flat));
+        assert!(
+            deep.as_secs_f64() <= 3.0 * flat.as_secs_f64(),
+            "deep {deep:?} vs flat {flat:?} at n={n}"
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! [`CheckContext`] is built once (one full parse) and every checker reads
 //! from it.
 
+use spec_html::dom::{Document, NodeId};
 use spec_html::tokenizer::Tag;
 use spec_html::ParseOutput;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
 /// Which start tags the checkers can ever act on: tags carrying at least
 /// one attribute (DE3_1/DE3_2/DE3_3 and the §4.5 mitigation flags inspect
@@ -31,6 +32,23 @@ pub struct CheckContext<'a> {
     /// and each call advances from where the last one stopped instead of
     /// re-walking the document head.
     cursor: Cell<(usize, usize)>,
+    /// [`head_subtree`] of the parse, computed on first use.
+    under_head: OnceCell<Vec<bool>>,
+}
+
+/// Per node index: whether the node sits inside an HTML `head` element.
+/// One pass over the head subtrees, so asking about every node of a deep
+/// document stays linear where an ancestor walk per node would not.
+pub(crate) fn head_subtree(dom: &Document) -> Vec<bool> {
+    let mut under_head = vec![false; dom.len()];
+    for h in dom.all_elements().filter(|&h| dom.is_html(h, "head")) {
+        if !under_head[h.index()] {
+            for d in dom.descendants(h) {
+                under_head[d.index()] = true;
+            }
+        }
+    }
+    under_head
 }
 
 impl<'a> CheckContext<'a> {
@@ -42,7 +60,13 @@ impl<'a> CheckContext<'a> {
                 start_tags.push(tag.clone());
             }
         });
-        CheckContext { raw, parse, start_tags, cursor: Cell::new((0, 0)) }
+        CheckContext {
+            raw,
+            parse,
+            start_tags,
+            cursor: Cell::new((0, 0)),
+            under_head: OnceCell::new(),
+        }
     }
 
     /// Build the context from an HTML *fragment* (innerHTML semantics in
@@ -57,7 +81,13 @@ impl<'a> CheckContext<'a> {
                 start_tags.push(tag.clone());
             }
         });
-        CheckContext { raw, parse, start_tags, cursor: Cell::new((0, 0)) }
+        CheckContext {
+            raw,
+            parse,
+            start_tags,
+            cursor: Cell::new((0, 0)),
+            under_head: OnceCell::new(),
+        }
     }
 
     /// The checker-relevant start tags of the token stream, in source
@@ -66,6 +96,12 @@ impl<'a> CheckContext<'a> {
     /// mitigation flag and are not collected.)
     pub fn start_tags(&self) -> impl Iterator<Item = &Tag> {
         self.start_tags.iter()
+    }
+
+    /// Whether node `id` sits inside the document's `head` element. O(1)
+    /// after a one-time pass over the head.
+    pub fn inside_head(&self, id: NodeId) -> bool {
+        self.under_head.get_or_init(|| head_subtree(&self.parse.dom))[id.index()]
     }
 
     /// A short excerpt of the source around a character offset, for

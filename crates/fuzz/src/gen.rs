@@ -20,6 +20,14 @@
 //! deliberately misnests, leaves elements open, or interleaves foreign
 //! content with a tuned error rate, because the error-recovery paths are
 //! exactly what the paper's checkers are built on.
+//!
+//! A small fixed share of cases also carries one **adversarial run**
+//! ([`adversarial_pieces`]): thousands of nested `div`/`b`/`table`/`svg`/
+//! `select`/`template` levels, misnested formatting end tags, or an
+//! attribute flood — the shapes that cost superlinear time whenever a
+//! parser step walks the open-element stack, the active-formatting list or
+//! a tag's attributes. The run is drawn from its own keyed stream, so every
+//! other case is exactly what the grammar alone produces.
 
 use hv_corpus::rng::KeyedRng;
 
@@ -229,10 +237,79 @@ const COMMENTS: &[&str] = &[
     "<!DOCTYPEhtml>",
 ];
 
+/// Share of cases that carry an adversarial run.
+const ADVERSARIAL_RATE: f64 = 0.02;
+
+/// Size cap of one adversarial run: with the grammar's part (< 16 KiB) a
+/// case stays within 64 KiB.
+const ADVERSARIAL_BYTES: usize = 48 * 1024;
+
+/// Formatting elements the misnesting run interleaves.
+const FORMATTING: &[&str] = &["a", "b", "i", "em", "strong", "u", "code", "nobr", "font", "s"];
+
 /// Generate case `index` of seed `seed` as its piece list. Concatenating
 /// the pieces (see [`render`]) yields the case text; the list is also the
 /// coarse granularity for ddmin shrinking.
 pub fn case_pieces(seed: u64, index: u64) -> Vec<String> {
+    let mut pieces = grammar_pieces(seed, index);
+    let mut r = KeyedRng::new(seed, &[0xAD7E25A1, index]);
+    if r.chance(ADVERSARIAL_RATE) {
+        let at = r.below(pieces.len() + 1);
+        pieces.splice(at..at, adversarial_pieces(&mut r));
+    }
+    pieces
+}
+
+/// One adversarial run, one piece per nesting level (or attribute), so
+/// ddmin can shrink it level by level.
+fn adversarial_pieces(r: &mut KeyedRng) -> Vec<String> {
+    let shape = r.below(13);
+    let levels = r.range(64, 4096);
+    let mut pieces: Vec<String> = match shape {
+        3 => vec!["<p>".to_owned()],
+        6 => vec!["<svg>".to_owned()],
+        11 => vec!["<div".to_owned()],
+        _ => Vec::new(),
+    };
+    let mut bytes = 0;
+    for i in 0..levels {
+        let piece = match shape {
+            // Deep blocks: every start tag checks scopes on the stack.
+            0 | 3 => format!("<div class=d{i}>"),
+            // Long active-formatting lists: distinct attributes, the same
+            // attributes, and bare tags (Noah's-Ark matches).
+            1 => format!("<b data-k={i}>x"),
+            12 => "<b class=x>x".to_owned(),
+            2 => "<b>x".to_owned(),
+            // The form pointer's template check on every nested form.
+            4 => "<div><form>".to_owned(),
+            5 => "<table><tr><td>".to_owned(),
+            6 => format!("<g id=g{i}>"),
+            7 => format!("<table><tr><td><select><option value={i}>x"),
+            8 => format!("<template id=t{i}>"),
+            // Misnested formatting end tags: the adoption agency.
+            9 => {
+                let (f, g) = (r.pick(FORMATTING), r.pick(FORMATTING));
+                format!("<{f}><{g}><div>x</{f}>y")
+            }
+            10 => format!("<span><meta http-equiv=x content=c{i}>"),
+            // Attribute flood; every eighth name repeats an earlier one.
+            _ => format!(" a{}=v{i}", if i % 8 == 7 { i / 2 } else { i }),
+        };
+        bytes += piece.len();
+        if bytes > ADVERSARIAL_BYTES {
+            break;
+        }
+        pieces.push(piece);
+    }
+    if shape == 11 {
+        pieces.push(">".to_owned());
+    }
+    pieces
+}
+
+/// The grammar's part of a case: everything but the adversarial run.
+fn grammar_pieces(seed: u64, index: u64) -> Vec<String> {
     let mut r = KeyedRng::new(seed, &[0xF0225EED, index]);
     let mut pieces = Vec::new();
     let mut stack: Vec<&'static str> = Vec::new();
@@ -418,8 +495,10 @@ mod tests {
     #[test]
     fn cases_are_bounded_and_utf8() {
         for i in 0..512 {
+            let grammar = render(&grammar_pieces(1, i));
+            assert!(grammar.len() < 16 * 1024, "case {i} too large: {}", grammar.len());
             let c = case(1, i);
-            assert!(c.len() < 16 * 1024, "case {i} too large: {}", c.len());
+            assert!(c.len() <= 64 * 1024, "case {i} too large: {}", c.len());
             // `case` returns String, so UTF-8 holds by construction; check
             // the pieces render exactly to it.
             assert_eq!(c, render(&case_pieces(1, i)));
@@ -434,5 +513,33 @@ mod tests {
         {
             assert!(all.contains(needle), "2000 cases never produced {needle}");
         }
+    }
+
+    #[test]
+    fn a_few_cases_carry_an_adversarial_run() {
+        let adversarial =
+            (0..2000).filter(|&i| case_pieces(42, i).len() > grammar_pieces(42, i).len()).count();
+        assert!((10..=100).contains(&adversarial), "{adversarial} adversarial cases in 2000");
+        // Every other case is the grammar's alone.
+        for i in 0..200 {
+            let (full, grammar) = (case_pieces(7, i), grammar_pieces(7, i));
+            assert!(full == grammar || full.len() > grammar.len() + 60, "case {i}");
+        }
+    }
+
+    #[test]
+    fn adversarial_runs_nest_deep() {
+        let mut deepest = 0;
+        for i in 0..64 {
+            let run = render(&adversarial_pieces(&mut KeyedRng::new(3, &[i])));
+            let dom = spec_html::parse_document(&run).dom;
+            let mut depth = vec![0usize; dom.len()];
+            for id in dom.descendants(dom.root()) {
+                let parent = dom.node(id).parent.expect("descendants have parents");
+                depth[id.index()] = depth[parent.index()] + 1;
+                deepest = deepest.max(depth[id.index()]);
+            }
+        }
+        assert!(deepest > 1000, "deepest adversarial run nests {deepest} levels");
     }
 }

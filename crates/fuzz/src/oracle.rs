@@ -29,7 +29,7 @@
 
 use hv_core::{autofix, Battery, CheckContext, Fixability};
 use hv_server::api::v1::CheckResponse;
-use spec_html::{serializer, tags, ErrorCode};
+use spec_html::{serializer, tags, ErrorCode, Namespace};
 use std::io::{Read, Write};
 
 /// One named invariant. `check` returns `Err(description)` when the case
@@ -165,25 +165,84 @@ impl Oracle for BatteryEquivalence {
     }
 }
 
-/// Nested `form` elements — a form with a form ancestor — are a DOM shape
-/// HTML serialization cannot round-trip: the form element pointer makes a
-/// reparse *ignore* a `<form>` start tag inside an open form, so each
-/// serialize→reparse round drops one nesting level (the shape arises when
-/// `</form>` is closed out from under a still-open descendant, which
-/// nulls the pointer while the subtree stays put). The fixpoint-style
-/// oracles carve this out the same way they carve out unterminated
-/// script-comment text.
-fn has_nested_form(dom: &spec_html::Dom) -> bool {
-    dom.all_elements()
-        .any(|id| dom.is_html(id, "form") && dom.ancestors(id).any(|a| dom.is_html(a, "form")))
+/// Whether the DOM nests an element inside one that a reparse would close
+/// at the inner element's start tag — a DOM shape HTML serialization
+/// cannot round-trip. The spec's own parser builds all three:
+///
+/// - a `form` under a `form`: the form element pointer makes a reparse
+///   *ignore* a `<form>` start tag inside an open form, so each
+///   serialize→reparse round drops one nesting level (the shape arises when
+///   `</form>` is closed out from under a still-open descendant, which nulls
+///   the pointer while the subtree stays put);
+/// - an `a` under an `a` with no formatting marker between (`applet`,
+///   `caption`, `marquee`, `object`, `td`, `th`, `template`), and a `nobr`
+///   under a `nobr` with no default-scope boundary between: a reparse runs
+///   the adoption agency on the outer element at the inner start tag. The
+///   agency stops after 8 outer iterations (§13.2.6.4.7), so when the
+///   outer element sits above more than 8 furthest blocks (e.g. `<a>` +
+///   16 × `<div>` + `<a>`), a clone of it stays open around the inner one,
+///   and each round moves the inner element 8 levels up.
+///
+/// The fixpoint-style oracles carve these out the same way they carve out
+/// unterminated script-comment text.
+///
+/// One pre-order pass: each node inherits from its parent whether it is
+/// under a form, under an `a` (reset by a marker) and under a `nobr` (reset
+/// by a scope boundary).
+fn has_unserializable_nesting(dom: &spec_html::Dom) -> bool {
+    #[derive(Clone, Copy, Default)]
+    struct Under {
+        form: bool,
+        a: bool,
+        nobr: bool,
+    }
+    let mut under = vec![Under::default(); dom.len()];
+    for id in dom.descendants(dom.root()) {
+        let Some(parent) = dom.node(id).parent else { continue };
+        let mut inside = under[parent.index()];
+        if let Some(e) = dom.element(parent) {
+            let html = |names: &[&str]| e.ns == Namespace::Html && names.contains(&e.name.as_str());
+            inside.form |= html(&["form"]);
+            if html(&["a"]) {
+                inside.a = true;
+            } else if html(&["applet", "caption", "marquee", "object", "td", "th", "template"]) {
+                inside.a = false;
+            }
+            if html(&["nobr"]) {
+                inside.nobr = true;
+            } else if is_default_scope_boundary(e) {
+                inside.nobr = false;
+            }
+        }
+        let nested = (inside.form && dom.is_html(id, "form"))
+            || (inside.a && dom.is_html(id, "a"))
+            || (inside.nobr && dom.is_html(id, "nobr"));
+        if nested {
+            return true;
+        }
+        under[id.index()] = inside;
+    }
+    false
+}
+
+/// The boundary elements of the default scope (§13.2.4.2).
+fn is_default_scope_boundary(e: &spec_html::dom::Element) -> bool {
+    let names: &[&str] = match e.ns {
+        Namespace::Html => {
+            &["applet", "caption", "html", "table", "td", "th", "marquee", "object", "template"]
+        }
+        Namespace::MathMl => &["mi", "mo", "mn", "ms", "mtext", "annotation-xml"],
+        Namespace::Svg => &["foreignObject", "desc", "title"],
+    };
+    names.contains(&e.name.as_str())
 }
 
 /// Parse → serialize → reparse fixpoint: the first round may normalize
 /// (that mutation *is* mXSS), but serialization must converge from the
 /// second round on. Two documented carve-outs: unterminated
 /// `<script><!--` content never round-trips (spec §13.3's warning,
-/// detectable via `eof-in-script-html-comment-like-text`), and nested
-/// forms shed one level per round ([`has_nested_form`]).
+/// detectable via `eof-in-script-html-comment-like-text`), and nestings a
+/// reparse undoes a few levels per round ([`has_unserializable_nesting`]).
 pub struct SerializerFixpoint;
 
 impl Oracle for SerializerFixpoint {
@@ -199,7 +258,7 @@ impl Oracle for SerializerFixpoint {
         let once = serializer::serialize(&spec_html::parse_document(case).dom);
         let reparse = spec_html::parse_document(&once);
         if reparse.has_error(ErrorCode::EofInScriptHtmlCommentLikeText)
-            || has_nested_form(&reparse.dom)
+            || has_unserializable_nesting(&reparse.dom)
         {
             return Ok(()); // documented non-round-trippable pathologies
         }
@@ -307,7 +366,7 @@ impl Oracle for AutofixSoundness {
         }
         let refixed = spec_html::parse_document(&outcome.fixed_html);
         if refixed.has_error(ErrorCode::EofInScriptHtmlCommentLikeText)
-            || has_nested_form(&refixed.dom)
+            || has_unserializable_nesting(&refixed.dom)
         {
             return Ok(()); // documented non-round-trippable pathologies
         }
@@ -455,6 +514,12 @@ mod tests {
         "&#xD800;&#0;&notit;&ampx",
         "<template><td>cell</td></template>",
         "\u{0}\u{1}<b>control</b>",
+        // Nested `a`/`nobr` across a marker or scope boundary round-trip,
+        // so the fixpoint oracles keep checking them.
+        "<a><table><tr><td><a>x",
+        "<a><object><a>x",
+        "<nobr><table><tr><td><nobr>x",
+        "<nobr><svg><desc><nobr>x",
     ];
 
     #[test]
@@ -498,6 +563,21 @@ mod tests {
                     .unwrap_or_else(|m| panic!("{} failed on {case:?}: {m}", oracle.name()));
             }
         }
+    }
+
+    #[test]
+    fn unserializable_nesting_stops_at_markers_and_scope_boundaries() {
+        let nested = |html: &str| has_unserializable_nesting(&spec_html::parse_document(html).dom);
+        let deep = |outer: &str, between: &str| format!("<{outer}>{}<{outer}>", between.repeat(16));
+        assert!(nested("<form><m></form><form></form><form>"));
+        assert!(nested(&deep("a", "<div>")));
+        assert!(nested(&deep("nobr", "<div>")));
+        assert!(!nested(&deep("a", "<span>")));
+        assert!(!nested("<a><table><tr><td><a>x"));
+        assert!(!nested("<a><object><a>x"));
+        assert!(!nested("<nobr><table><tr><td><nobr>x"));
+        assert!(!nested("<nobr><svg><desc><nobr>x"));
+        assert!(!nested("<nobr><svg><foreignObject><nobr>x"));
     }
 
     #[test]

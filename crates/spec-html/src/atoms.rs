@@ -48,8 +48,12 @@ use std::sync::{Arc, OnceLock};
 /// This table is deliberately generous: membership is *only* a perf
 /// optimization. A name missing from the table still works — it becomes a
 /// dynamic atom with identical semantics.
+pub static STATIC_ATOMS: &[&str] = ATOM_TABLE;
+
+/// [`STATIC_ATOMS`] as a constant, for the compile-time lookups of
+/// [`atom!`]; everything else reads the static, so the table exists once.
 #[rustfmt::skip]
-pub static STATIC_ATOMS: &[&str] = &[
+const ATOM_TABLE: &[&str] = &[
     // The empty name: Atom::default(), placeholder tags.
     "",
     // HTML elements (current + obsolete — archived pages use both).
@@ -179,6 +183,41 @@ fn lookup_static(name: &str) -> Option<u16> {
         .map(|pos| index[pos])
 }
 
+/// Index of `name` in [`STATIC_ATOMS`] by linear search, for compile-time
+/// evaluation through [`atom!`]: a name missing from the table fails the
+/// build instead of silently becoming a dynamic atom.
+const fn static_id_of(name: &str) -> u16 {
+    let name = name.as_bytes();
+    let mut i = 0;
+    'entries: while i < ATOM_TABLE.len() {
+        let entry = ATOM_TABLE[i].as_bytes();
+        i += 1;
+        if entry.len() != name.len() {
+            continue;
+        }
+        let mut j = 0;
+        while j < name.len() {
+            if entry[j] != name[j] {
+                continue 'entries;
+            }
+            j += 1;
+        }
+        return (i - 1) as u16;
+    }
+    panic!("name missing from STATIC_ATOMS")
+}
+
+/// A static [`Atom`] constant for a name in [`STATIC_ATOMS`]:
+/// `atom!("div")`. The table lookup runs at compile time, so using one is
+/// an integer copy.
+macro_rules! atom {
+    ($name:literal) => {{
+        const ATOM: $crate::atoms::Atom = $crate::atoms::Atom::from_static_name($name);
+        ATOM
+    }};
+}
+pub(crate) use atom;
+
 /// An interned tag or attribute name. See the module docs for the
 /// representation invariant that makes equality cheap.
 #[derive(Clone)]
@@ -208,6 +247,11 @@ impl Atom {
     pub(crate) fn from_static_id(id: u16) -> Atom {
         debug_assert!((id as usize) < STATIC_ATOMS.len());
         Atom(Repr::Static(id))
+    }
+
+    /// The static atom of a name known at compile time; see [`atom!`].
+    pub(crate) const fn from_static_name(name: &str) -> Atom {
+        Atom(Repr::Static(static_id_of(name)))
     }
 
     /// The atom's text.

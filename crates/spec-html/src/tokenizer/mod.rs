@@ -17,7 +17,11 @@ use crate::entities;
 use crate::errors::{ErrorCode, ParseError};
 use crate::preprocess::InputStream;
 use crate::scan;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+
+/// Attribute count up to which the duplicate-attribute check scans the
+/// tag's earlier attributes; past it, the check probes a set.
+const ATTR_SCAN_LIMIT: usize = 8;
 
 /// Tokenizer states (§13.2.5.1–80). Names mirror the specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,6 +166,10 @@ pub struct Tokenizer<'a> {
     tag_self_closing: bool,
     tag_attrs: Vec<Attr>,
     tag_dup_attrs: Vec<Attr>,
+    /// The names in `tag_attrs` once the tag has more than
+    /// [`ATTR_SCAN_LIMIT`] of them (empty before): keeps the duplicate
+    /// check O(1) on attribute floods. Cleared, not freed, per tag.
+    tag_attr_names: HashSet<Atom>,
     tag_offset: usize,
     cur_attr: AttrBuilder,
     /// Per-parse dedup for names outside the static atom table; fresh per
@@ -214,6 +222,7 @@ impl<'a> Tokenizer<'a> {
             tag_self_closing: false,
             tag_attrs: Vec::new(),
             tag_dup_attrs: Vec::new(),
+            tag_attr_names: HashSet::new(),
             tag_offset: 0,
             cur_attr: AttrBuilder::default(),
             interner: Interner::new(),
@@ -362,6 +371,9 @@ impl<'a> Tokenizer<'a> {
         self.tag_self_closing = false;
         self.tag_attrs.clear();
         self.tag_dup_attrs.clear();
+        if !self.tag_attr_names.is_empty() {
+            self.tag_attr_names.clear();
+        }
         self.cur_attr.active = false;
         // The `<` is one or two chars back (`</` for end tags).
         let pos = self.stream.chars_consumed();
@@ -395,13 +407,22 @@ impl<'a> Tokenizer<'a> {
     /// name is final here, so this is also where it is interned — the
     /// comparison against earlier attributes is then an atom compare (an
     /// integer compare for table names) instead of a string compare per
-    /// attribute.
+    /// attribute. Past [`ATTR_SCAN_LIMIT`] attributes the check is a set
+    /// probe instead of a scan.
     fn check_duplicate_attr(&mut self) {
         if !self.cur_attr.active {
             return;
         }
         let atom = self.interner.intern(&self.cur_attr.name);
-        if self.tag_attrs.iter().any(|a| a.name == atom) {
+        let duplicate = if self.tag_attrs.len() <= ATTR_SCAN_LIMIT {
+            self.tag_attrs.iter().any(|a| a.name == atom)
+        } else {
+            if self.tag_attr_names.is_empty() {
+                self.tag_attr_names.extend(self.tag_attrs.iter().map(|a| a.name.clone()));
+            }
+            self.tag_attr_names.contains(&atom)
+        };
+        if duplicate {
             self.cur_attr.duplicate = true;
             let off = self.cur_attr.name_offset;
             self.error_at(ErrorCode::DuplicateAttribute, off);
@@ -435,6 +456,9 @@ impl<'a> Tokenizer<'a> {
             // Tags without attributes never reach here and stay alloc-free.
             if self.tag_attrs.capacity() == 0 {
                 self.tag_attrs.reserve(8);
+            }
+            if !self.tag_attr_names.is_empty() {
+                self.tag_attr_names.insert(attr.name.clone());
             }
             self.tag_attrs.push(attr);
         }

@@ -7,6 +7,7 @@
 //! RAWTEXT-style elements like `<style>` parse differently in foreign
 //! namespaces — comments inside them are real comments, not CSS text.
 
+use super::open::Kind;
 use super::{Builder, Ctl, TreeEventKind};
 use crate::atoms::Atom;
 use crate::dom::Namespace;
@@ -77,15 +78,7 @@ impl Builder {
     /// Namespace of the outermost foreign element currently open — tells the
     /// HF5 checker whether a breakout escaped an `<svg>` or a `<math>`.
     fn foreign_root_ns(&self) -> Namespace {
-        for &id in &self.open {
-            if let Some(e) = self.doc.element(id) {
-                if e.ns != Namespace::Html {
-                    return e.ns;
-                }
-            }
-        }
-        // Fall back to the current node's namespace.
-        self.current().and_then(|id| self.doc.element(id)).map(|e| e.ns).unwrap_or(Namespace::Html)
+        self.open.outermost_foreign_ns().unwrap_or(Namespace::Html)
     }
 
     /// §13.2.6.5 "The rules for parsing tokens in foreign content".
@@ -169,21 +162,18 @@ impl Builder {
                         });
                     }
                 }
-                let mut i = self.open.len();
-                while i > 0 {
-                    i -= 1;
-                    let id = self.open[i];
-                    let Some(e) = self.doc.element(id) else { break };
-                    if e.ns == Namespace::Html {
-                        // Process using HTML rules.
-                        return self.mode_dispatch_from_foreign(token, tok);
-                    }
-                    if e.name.eq_ignore_ascii_case(&tag.name) {
+                // The walk ends at the topmost of the two, so compare the
+                // topmost match with the topmost HTML element.
+                let html = self.open.topmost_of(Kind::Html);
+                match self.open.topmost_foreign(&tag.name) {
+                    Some(i) if html.is_none_or(|h| i > h) => {
                         self.open.truncate(i);
-                        return Ctl::Done;
+                        Ctl::Done
                     }
+                    // Process using HTML rules.
+                    _ if html.is_some() => self.mode_dispatch_from_foreign(token, tok),
+                    _ => Ctl::Done,
                 }
-                Ctl::Done
             }
             Token::Eof => {
                 // EOF never reaches foreign rules (dispatcher sends it to

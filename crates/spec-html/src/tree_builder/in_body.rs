@@ -4,7 +4,9 @@
 //! pointer (DE4), the `<table>` hand-off (HF4), and the foreign-content
 //! entry points (HF5 / mXSS).
 
+use super::open::Kind;
 use super::{is_html_whitespace, Builder, Ctl, InsertionMode, TreeEventKind};
+use crate::atoms::{atom, Atom};
 use crate::dom::{ElemAttr, Namespace};
 use crate::tags;
 use crate::tokenizer::{self, Tag, Token, Tokenizer};
@@ -109,7 +111,7 @@ impl Builder {
                         | "h6"
                 ) =>
             {
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_html(tag);
@@ -117,7 +119,7 @@ impl Builder {
                 Ctl::Done
             }
             "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => {
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 if matches!(self.current_name(), Some("h1" | "h2" | "h3" | "h4" | "h5" | "h6")) {
@@ -128,7 +130,7 @@ impl Builder {
                 Ctl::Done
             }
             "pre" | "listing" => {
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_html(tag);
@@ -137,39 +139,31 @@ impl Builder {
                 Ctl::Done
             }
             "form" => {
-                if self.form.is_some() && !self.stack_has("template") {
+                if self.form.is_some() && !self.open.has(&atom!("template")) {
                     // DE4: the nested form start tag is ignored outright.
                     self.event(TreeEventKind::NestedFormIgnored);
                     return Ctl::Done;
                 }
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 let id = self.insert_html(tag);
-                if !self.stack_has("template") {
+                if !self.open.has(&atom!("template")) {
                     self.form = Some(id);
                 }
                 Ctl::Done
             }
             "li" => {
                 self.frameset_ok = false;
-                let mut i = self.open.len();
-                while i > 0 {
-                    i -= 1;
-                    let Some(name) = self.doc.html_name(self.open[i]).map(str::to_owned) else {
-                        break;
-                    };
-                    if name == "li" {
-                        self.generate_implied_end_tags(Some("li"));
-                        self.pop_through("li");
-                        break;
-                    }
-                    if tags::is_special(&name) && !matches!(name.as_str(), "address" | "div" | "p")
-                    {
-                        break;
-                    }
+                // The walk down the stack for an `li` to close stops at the
+                // first foreign element or special one but address/div/p —
+                // `li` among them — so only the topmost of those can be it.
+                let stop = self.open.topmost_of(Kind::ListStop).map(|i| self.open[i]);
+                if stop.is_some_and(|id| self.doc.is_html(id, "li")) {
+                    self.generate_implied_end_tags(Some("li"));
+                    self.pop_through("li");
                 }
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_html(tag);
@@ -177,30 +171,25 @@ impl Builder {
             }
             "dd" | "dt" => {
                 self.frameset_ok = false;
-                let mut i = self.open.len();
-                while i > 0 {
-                    i -= 1;
-                    let Some(name) = self.doc.html_name(self.open[i]).map(str::to_owned) else {
-                        break;
-                    };
-                    if name == "dd" || name == "dt" {
-                        self.generate_implied_end_tags(Some(&name));
-                        self.pop_through(&name);
-                        break;
-                    }
-                    if tags::is_special(&name) && !matches!(name.as_str(), "address" | "div" | "p")
-                    {
-                        break;
-                    }
+                // As for `li`: `dd` and `dt` are stops themselves.
+                let stop = self.open.topmost_of(Kind::ListStop).map(|i| self.open[i]);
+                let close = match stop.and_then(|id| self.doc.html_name(id)) {
+                    Some("dd") => Some("dd"),
+                    Some("dt") => Some("dt"),
+                    _ => None,
+                };
+                if let Some(name) = close {
+                    self.generate_implied_end_tags(Some(name));
+                    self.pop_through(name);
                 }
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_html(tag);
                 Ctl::Done
             }
             "plaintext" => {
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_html(tag);
@@ -208,7 +197,7 @@ impl Builder {
                 Ctl::Done
             }
             "button" => {
-                if self.in_scope("button") {
+                if self.in_scope(&atom!("button")) {
                     self.event(TreeEventKind::StrayStartTag { tag: "button".into() });
                     self.generate_implied_end_tags(None);
                     self.pop_through("button");
@@ -221,51 +210,50 @@ impl Builder {
             "a" => {
                 // An open <a> since the last marker is a parse error: run
                 // the adoption agency, then proceed.
-                let open_a = self.formatting.iter().rev().find_map(|e| match e {
-                    super::FormatEntry::Marker => Some(None),
-                    super::FormatEntry::Element { node, tag } if tag.name == "a" => {
-                        Some(Some(*node))
-                    }
-                    _ => None,
-                });
-                if let Some(Some(node)) = open_a {
+                let open_a = self
+                    .formatting
+                    .last_after_marker(&atom!("a"))
+                    .and_then(|i| self.formatting[i].node());
+                if let Some(node) = open_a {
                     self.event(TreeEventKind::AdoptionAgency { tag: "a".into() });
-                    self.adoption_agency("a");
+                    self.adoption_agency(&atom!("a"));
                     self.remove_from_formatting(node);
-                    self.open.retain(|&n| n != node);
+                    if let Some(i) = self.open.position(node) {
+                        self.open.remove(i);
+                    }
                 }
                 self.reconstruct_formatting();
                 let id = self.insert_html(tag);
-                self.push_formatting(id, tag);
+                self.formatting.push(id, tag);
                 Ctl::Done
             }
             "b" | "big" | "code" | "em" | "font" | "i" | "s" | "small" | "strike" | "strong"
             | "tt" | "u" => {
                 self.reconstruct_formatting();
                 let id = self.insert_html(tag);
-                self.push_formatting(id, tag);
+                self.formatting.push(id, tag);
                 Ctl::Done
             }
             "nobr" => {
                 self.reconstruct_formatting();
-                if self.in_scope("nobr") {
+                if self.in_scope(&atom!("nobr")) {
                     self.event(TreeEventKind::StrayStartTag { tag: "nobr".into() });
-                    self.adoption_agency("nobr");
+                    self.adoption_agency(&atom!("nobr"));
                     self.reconstruct_formatting();
                 }
                 let id = self.insert_html(tag);
-                self.push_formatting(id, tag);
+                self.formatting.push(id, tag);
                 Ctl::Done
             }
             "applet" | "marquee" | "object" => {
                 self.reconstruct_formatting();
                 self.insert_html(tag);
-                self.formatting.push(super::FormatEntry::Marker);
+                self.formatting.push_marker();
                 self.frameset_ok = false;
                 Ctl::Done
             }
             "table" => {
-                if self.quirks != super::QuirksMode::Quirks && self.in_button_scope("p") {
+                if self.quirks != super::QuirksMode::Quirks && self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_html(tag);
@@ -296,7 +284,7 @@ impl Builder {
                 Ctl::Done
             }
             "hr" => {
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.insert_void(tag);
@@ -324,7 +312,7 @@ impl Builder {
                 Ctl::Done
             }
             "xmp" => {
-                if self.in_button_scope("p") {
+                if self.in_button_scope(&atom!("p")) {
                     self.close_p_element();
                 }
                 self.reconstruct_formatting();
@@ -364,14 +352,14 @@ impl Builder {
                 Ctl::Done
             }
             "rb" | "rtc" => {
-                if self.in_scope("ruby") {
+                if self.in_scope(&atom!("ruby")) {
                     self.generate_implied_end_tags(None);
                 }
                 self.insert_html(tag);
                 Ctl::Done
             }
             "rp" | "rt" => {
-                if self.in_scope("ruby") {
+                if self.in_scope(&atom!("ruby")) {
                     self.generate_implied_end_tags(Some("rtc"));
                 }
                 self.insert_html(tag);
@@ -410,7 +398,7 @@ impl Builder {
     fn in_body_end(&mut self, tag: &Tag) -> Ctl {
         match tag.name.as_str() {
             "body" => {
-                if !self.in_scope("body") {
+                if !self.in_scope(&atom!("body")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "body".into() });
                     return Ctl::Done;
                 }
@@ -418,7 +406,7 @@ impl Builder {
                 Ctl::Done
             }
             "html" => {
-                if !self.in_scope("body") {
+                if !self.in_scope(&atom!("body")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "html".into() });
                     return Ctl::Done;
                 }
@@ -440,14 +428,16 @@ impl Builder {
             "form" => {
                 let node = self.form.take();
                 match node {
-                    Some(node) if self.open.contains(&node) && self.in_scope("form") => {
+                    Some(node) if self.open.contains(node) && self.in_scope(&atom!("form")) => {
                         self.generate_implied_end_tags(None);
                         if self.current() != Some(node) {
                             self.event(TreeEventKind::StrayEndTag { tag: "form".into() });
                         }
                         // Remove the node (not pop-through): content after a
                         // misplaced </form> must keep its position.
-                        self.open.retain(|&n| n != node);
+                        if let Some(i) = self.open.position(node) {
+                            self.open.remove(i);
+                        }
                     }
                     _ => {
                         self.event(TreeEventKind::StrayEndTag { tag: "form".into() });
@@ -456,7 +446,7 @@ impl Builder {
                 Ctl::Done
             }
             "p" => {
-                if !self.in_button_scope("p") {
+                if !self.in_button_scope(&atom!("p")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "p".into() });
                     let p = Tag::named("p");
                     self.insert_html(&p);
@@ -465,7 +455,7 @@ impl Builder {
                 Ctl::Done
             }
             "li" => {
-                if !self.in_list_item_scope("li") {
+                if !self.in_list_item_scope(&atom!("li")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "li".into() });
                     return Ctl::Done;
                 }
@@ -483,14 +473,15 @@ impl Builder {
                 Ctl::Done
             }
             "h1" | "h2" | "h3" | "h4" | "h5" | "h6" => {
-                let hs = ["h1", "h2", "h3", "h4", "h5", "h6"];
-                if !self.any_in_scope(&hs) {
+                let hs =
+                    [atom!("h1"), atom!("h2"), atom!("h3"), atom!("h4"), atom!("h5"), atom!("h6")];
+                if !hs.iter().any(|h| self.in_scope(h)) {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
                 }
                 self.generate_implied_end_tags(None);
                 while let Some(id) = self.open.pop() {
-                    if matches!(self.doc.html_name(id), Some(n) if hs.contains(&n)) {
+                    if matches!(self.doc.html_name(id), Some(n) if hs.iter().any(|h| h == n)) {
                         break;
                     }
                 }
@@ -510,7 +501,7 @@ impl Builder {
                 }
                 self.generate_implied_end_tags(None);
                 self.pop_through(&tag.name);
-                super::formatting::clear_to_marker(&mut self.formatting);
+                self.formatting.clear_to_marker();
                 Ctl::Done
             }
             "br" => {
@@ -523,10 +514,10 @@ impl Builder {
                 Ctl::Done
             }
             "template" => {
-                if self.stack_has("template") {
+                if self.open.has(&atom!("template")) {
                     self.generate_implied_end_tags(None);
                     self.pop_through("template");
-                    super::formatting::clear_to_marker(&mut self.formatting);
+                    self.formatting.clear_to_marker();
                 } else {
                     self.event(TreeEventKind::StrayEndTag { tag: "template".into() });
                 }
@@ -541,31 +532,23 @@ impl Builder {
 
     /// "Any other end tag" in body: walk the stack; matching name closes it
     /// (with implied end tags); hitting a special element first means the
-    /// end tag is stray and ignored.
-    pub(crate) fn any_other_end_tag(&mut self, name: &str) {
-        let mut i = self.open.len();
-        while i > 0 {
-            i -= 1;
-            let id = self.open[i];
-            let Some(e) = self.doc.element(id) else { break };
-            if e.ns == Namespace::Html && e.name == name {
+    /// end tag is stray and ignored. The walk ends at the topmost special
+    /// element, so the match is the topmost HTML element named `name` if
+    /// it is not below that.
+    pub(crate) fn any_other_end_tag(&mut self, name: &Atom) {
+        let special = self.open.topmost_of(Kind::Special);
+        let found = self.open.topmost(name);
+        match found {
+            Some(i) if special.is_none_or(|s| i >= s) => {
+                let id = self.open[i];
                 self.generate_implied_end_tags(Some(name));
                 if self.current() != Some(id) {
-                    self.event(TreeEventKind::StrayEndTag { tag: name.to_owned() });
+                    self.event(TreeEventKind::StrayEndTag { tag: name.to_string() });
                 }
-                while let Some(popped) = self.open.pop() {
-                    if popped == id {
-                        break;
-                    }
-                }
-                return;
+                self.open.truncate(i);
             }
-            if e.ns == Namespace::Html && tags::is_special(&e.name) {
-                self.event(TreeEventKind::StrayEndTag { tag: name.to_owned() });
-                return;
-            }
+            _ => self.event(TreeEventKind::StrayEndTag { tag: name.to_string() }),
         }
-        self.event(TreeEventKind::StrayEndTag { tag: name.to_owned() });
     }
 
     /// Close an open `p` element (§13.2.6.4.7 "close a p element").

@@ -18,16 +18,18 @@ mod events;
 mod foreign;
 mod formatting;
 mod in_body;
+mod open;
 mod tables;
 
 pub use events::{TreeEvent, TreeEventKind};
-pub use formatting::FormatEntry;
 
-use crate::atoms::Atom;
+use crate::atoms::{atom, Atom};
 use crate::dom::{Document, ElemAttr, Namespace, NodeData, NodeId};
 use crate::errors::ParseError;
 use crate::tags;
 use crate::tokenizer::{self, Tag, Token, Tokenizer};
+use formatting::ActiveFormatting;
+use open::{Kind, OpenElements};
 
 /// Document quirks mode, determined by the DOCTYPE (§13.2.6.4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +188,8 @@ pub(crate) struct Builder {
     pub doc: Document,
     pub mode: InsertionMode,
     pub orig_mode: InsertionMode,
-    pub open: Vec<NodeId>,
-    pub formatting: Vec<FormatEntry>,
+    pub open: OpenElements,
+    pub formatting: ActiveFormatting,
     pub head: Option<NodeId>,
     pub form: Option<NodeId>,
     pub frameset_ok: bool,
@@ -226,8 +228,8 @@ impl Builder {
             doc: Document::new(),
             mode: InsertionMode::Initial,
             orig_mode: InsertionMode::InBody,
-            open: Vec::new(),
-            formatting: Vec::new(),
+            open: OpenElements::new(),
+            formatting: ActiveFormatting::default(),
             head: None,
             form: None,
             frameset_ok: true,
@@ -251,7 +253,7 @@ impl Builder {
         let root = b.doc.create_element("html", Namespace::Html, Vec::new());
         let doc_root = b.doc.root();
         b.doc.append(doc_root, root);
-        b.open.push(root);
+        b.open.push(&b.doc, root);
         b.fragment_context = Some(context.to_owned());
         if context == "form" {
             // The spec sets the pointer to the nearest form ancestor; for a
@@ -365,11 +367,6 @@ impl Builder {
             .unwrap_or(false)
     }
 
-    /// Stack contains an HTML element with this name.
-    pub(crate) fn stack_has(&self, name: &str) -> bool {
-        self.open.iter().any(|&id| self.doc.is_html(id, name))
-    }
-
     /// Pop elements through (and including) the first HTML element named
     /// `name` from the top of the stack.
     pub(crate) fn pop_through(&mut self, name: &str) {
@@ -394,98 +391,26 @@ impl Builder {
         }
     }
 
-    // ----- scope checks (§13.2.4.2) -----
+    // ----- scope checks (§13.2.4.2), O(1) on the indexed stack -----
 
-    fn in_scope_with(&self, name: &str, extra: &[&str]) -> bool {
-        for &id in self.open.iter().rev() {
-            if let Some(e) = self.doc.element(id) {
-                match e.ns {
-                    Namespace::Html => {
-                        if e.name == name {
-                            return true;
-                        }
-                        if matches!(
-                            e.name.as_str(),
-                            "applet"
-                                | "caption"
-                                | "html"
-                                | "table"
-                                | "td"
-                                | "th"
-                                | "marquee"
-                                | "object"
-                                | "template"
-                        ) || extra.contains(&e.name.as_str())
-                        {
-                            return false;
-                        }
-                    }
-                    Namespace::MathMl => {
-                        if matches!(
-                            e.name.as_str(),
-                            "mi" | "mo" | "mn" | "ms" | "mtext" | "annotation-xml"
-                        ) {
-                            return false;
-                        }
-                    }
-                    Namespace::Svg => {
-                        if matches!(e.name.as_str(), "foreignObject" | "desc" | "title") {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        false
+    pub(crate) fn in_scope(&self, name: &Atom) -> bool {
+        self.open.in_scope(Kind::DefaultScope, name)
     }
 
-    pub(crate) fn in_scope(&self, name: &str) -> bool {
-        self.in_scope_with(name, &[])
+    pub(crate) fn in_button_scope(&self, name: &Atom) -> bool {
+        self.open.in_scope(Kind::ButtonScope, name)
     }
 
-    pub(crate) fn in_button_scope(&self, name: &str) -> bool {
-        self.in_scope_with(name, &["button"])
+    pub(crate) fn in_list_item_scope(&self, name: &Atom) -> bool {
+        self.open.in_scope(Kind::ListItemScope, name)
     }
 
-    pub(crate) fn in_list_item_scope(&self, name: &str) -> bool {
-        self.in_scope_with(name, &["ol", "ul"])
+    pub(crate) fn in_table_scope(&self, name: &Atom) -> bool {
+        self.open.in_scope(Kind::TableScope, name)
     }
 
-    pub(crate) fn in_table_scope(&self, name: &str) -> bool {
-        for &id in self.open.iter().rev() {
-            if let Some(e) = self.doc.element(id) {
-                if e.ns == Namespace::Html {
-                    if e.name == name {
-                        return true;
-                    }
-                    if matches!(e.name.as_str(), "html" | "table" | "template") {
-                        return false;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    pub(crate) fn in_select_scope(&self, name: &str) -> bool {
-        for &id in self.open.iter().rev() {
-            if let Some(e) = self.doc.element(id) {
-                if e.ns == Namespace::Html {
-                    if e.name == name {
-                        return true;
-                    }
-                    if !matches!(e.name.as_str(), "optgroup" | "option") {
-                        return false;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Any of `names` is in (default) scope.
-    pub(crate) fn any_in_scope(&self, names: &[&str]) -> bool {
-        names.iter().any(|n| self.in_scope(n))
+    pub(crate) fn in_select_scope(&self, name: &Atom) -> bool {
+        self.open.in_scope(Kind::SelectScope, name)
     }
 
     // ----- insertion -----
@@ -498,16 +423,14 @@ impl Builder {
         if foster {
             if let Some(name) = self.doc.html_name(target) {
                 if matches!(name, "table" | "tbody" | "tfoot" | "thead" | "tr") {
-                    // Find the last table on the stack.
-                    if let Some(&table) =
-                        self.open.iter().rev().find(|&&id| self.doc.is_html(id, "table"))
-                    {
-                        if self.doc.node(table).parent.is_some() {
-                            return (self.doc.node(table).parent.unwrap(), Some(table));
+                    // The last table on the stack.
+                    if let Some(idx) = self.open.topmost(&atom!("table")) {
+                        let table = self.open[idx];
+                        if let Some(parent) = self.doc.node(table).parent {
+                            return (parent, Some(table));
                         }
                         // Table has no parent (fragment case): insert into
                         // the element before the table on the stack.
-                        let idx = self.open.iter().position(|&id| id == table).unwrap();
                         if idx > 0 {
                             return (self.open[idx - 1], None);
                         }
@@ -540,7 +463,7 @@ impl Builder {
             Some(b) => self.doc.insert_before(b, id),
             None => self.doc.append(parent, id),
         }
-        self.open.push(id);
+        self.open.push(&self.doc, id);
         id
     }
 
@@ -628,85 +551,50 @@ impl Builder {
     // appropriately") -----
 
     pub(crate) fn reset_insertion_mode(&mut self) {
-        for (i, &id) in self.open.iter().enumerate().rev() {
-            let last = i == 0;
-            let Some(e) = self.doc.element(id) else { continue };
-            if e.ns != Namespace::Html {
-                continue;
-            }
-            // In the fragment case the bottom-most node is judged as the
-            // context element (§13.2.6.4.22 step 2).
-            let name: &str =
-                if last { self.fragment_context.as_deref().unwrap_or(&e.name) } else { &e.name };
-            match name {
-                "select" => {
-                    // Check for an enclosing table.
-                    let mut mode = InsertionMode::InSelect;
-                    for &anc in self.open[..i].iter().rev() {
-                        match self.doc.html_name(anc) {
-                            Some("template") => break,
-                            Some("table") => {
-                                mode = InsertionMode::InSelectInTable;
-                                break;
-                            }
-                            _ => {}
-                        }
-                    }
-                    self.mode = mode;
-                    return;
-                }
-                "td" | "th" if !last => {
-                    self.mode = InsertionMode::InCell;
-                    return;
-                }
-                "tr" => {
-                    self.mode = InsertionMode::InRow;
-                    return;
-                }
-                "tbody" | "thead" | "tfoot" => {
-                    self.mode = InsertionMode::InTableBody;
-                    return;
-                }
-                "caption" => {
-                    self.mode = InsertionMode::InCaption;
-                    return;
-                }
-                "colgroup" => {
-                    self.mode = InsertionMode::InColumnGroup;
-                    return;
-                }
-                "table" => {
-                    self.mode = InsertionMode::InTable;
-                    return;
-                }
-                "head" if !last => {
-                    self.mode = InsertionMode::InHead;
-                    return;
-                }
-                "body" => {
-                    self.mode = InsertionMode::InBody;
-                    return;
-                }
-                "frameset" => {
-                    self.mode = InsertionMode::InFrameset;
-                    return;
-                }
-                "html" => {
-                    self.mode = if self.head.is_none() {
-                        InsertionMode::BeforeHead
-                    } else {
-                        InsertionMode::AfterHead
-                    };
-                    return;
-                }
-                _ => {}
-            }
-            if last {
-                self.mode = InsertionMode::InBody;
-                return;
-            }
+        // The walk down the stack ends at the first HTML element with a
+        // rule below; only the bottom entry, judged as the fragment context
+        // (§13.2.6.4.22 step 2), can need a look past the indexed ones.
+        if self.open.is_empty() {
+            self.mode = InsertionMode::InBody;
+            return;
         }
-        self.mode = InsertionMode::InBody;
+        let i = self.open.topmost_of(Kind::Mode).unwrap_or(0);
+        let last = i == 0;
+        let Some(e) = self.doc.element(self.open[i]).filter(|e| e.ns == Namespace::Html) else {
+            self.mode = InsertionMode::InBody;
+            return;
+        };
+        let name: &str =
+            if last { self.fragment_context.as_deref().unwrap_or(&e.name) } else { &e.name };
+        self.mode = match name {
+            "select" => {
+                // Check for an enclosing table.
+                let mut mode = InsertionMode::InSelect;
+                for &anc in self.open[..i].iter().rev() {
+                    match self.doc.html_name(anc) {
+                        Some("template") => break,
+                        Some("table") => {
+                            mode = InsertionMode::InSelectInTable;
+                            break;
+                        }
+                        _ => {}
+                    }
+                }
+                mode
+            }
+            "td" | "th" if !last => InsertionMode::InCell,
+            "tr" => InsertionMode::InRow,
+            "tbody" | "thead" | "tfoot" => InsertionMode::InTableBody,
+            "caption" => InsertionMode::InCaption,
+            "colgroup" => InsertionMode::InColumnGroup,
+            "table" => InsertionMode::InTable,
+            "head" if !last => InsertionMode::InHead,
+            "body" => InsertionMode::InBody,
+            "frameset" => InsertionMode::InFrameset,
+            "html" if self.head.is_none() => InsertionMode::BeforeHead,
+            "html" => InsertionMode::AfterHead,
+            _ => InsertionMode::InBody,
+        };
     }
 
     // ----- stop parsing -----
@@ -805,7 +693,7 @@ impl Builder {
                 );
                 let root = self.doc.root();
                 self.doc.append(root, id);
-                self.open.push(id);
+                self.open.push(&self.doc, id);
                 self.mode = InsertionMode::BeforeHead;
                 Ctl::Done
             }
@@ -827,7 +715,7 @@ impl Builder {
         let id = self.doc.create_element("html", Namespace::Html, Vec::new());
         let root = self.doc.root();
         self.doc.append(root, id);
-        self.open.push(id);
+        self.open.push(&self.doc, id);
         self.mode = InsertionMode::BeforeHead;
     }
 
@@ -936,7 +824,7 @@ impl Builder {
                 "template" => {
                     // Simplified: ordinary element (see module docs).
                     self.insert_html(tag);
-                    self.formatting.push(FormatEntry::Marker);
+                    self.formatting.push_marker();
                     Ctl::Done
                 }
                 "head" => {
@@ -955,10 +843,10 @@ impl Builder {
                     Ctl::Done
                 }
                 "template" => {
-                    if self.stack_has("template") {
+                    if self.open.has(&atom!("template")) {
                         self.generate_implied_end_tags(None);
                         self.pop_through("template");
-                        formatting::clear_to_marker(&mut self.formatting);
+                        self.formatting.clear_to_marker();
                     } else {
                         self.event(TreeEventKind::StrayEndTag { tag: "template".into() });
                     }
@@ -1086,12 +974,12 @@ impl Builder {
                     // Parse error: the element is put back inside head.
                     self.event(TreeEventKind::LateHeadContent { tag: tag.name.to_string() });
                     if let Some(head) = self.head {
-                        self.open.push(head);
+                        self.open.push(&self.doc, head);
                         let ctl = self.in_head(token.clone(), tok);
                         // Per spec, remove the head element pointer's node
                         // from the stack (it is "not necessarily the current
                         // node" — e.g. a <title> is now above it).
-                        if let Some(pos) = self.open.iter().rposition(|&id| id == head) {
+                        if let Some(pos) = self.open.position(head) {
                             self.open.remove(pos);
                         }
                         ctl
@@ -1148,7 +1036,7 @@ impl Builder {
         while self.open.len() > 1 {
             let popped = self.open.pop().expect("len checked");
             if self.doc.is_html(popped, "template") {
-                formatting::clear_to_marker(&mut self.formatting);
+                self.formatting.clear_to_marker();
             }
         }
     }

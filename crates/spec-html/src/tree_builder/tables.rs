@@ -7,6 +7,7 @@
 //! mXSS reordering attacks (Figure 1's `<table>` hop).
 
 use super::{is_html_whitespace, Builder, Ctl, InsertionMode, TreeEventKind};
+use crate::atoms::{atom, Atom};
 use crate::tokenizer::{Tag, Token, Tokenizer};
 
 impl Builder {
@@ -34,7 +35,7 @@ impl Builder {
             Token::StartTag(ref tag) => match tag.name.as_str() {
                 "caption" => {
                     self.clear_to_table_context();
-                    self.formatting.push(super::FormatEntry::Marker);
+                    self.formatting.push_marker();
                     self.insert_html(tag);
                     self.mode = InsertionMode::InCaption;
                     Ctl::Done
@@ -70,7 +71,7 @@ impl Builder {
                 "table" => {
                     // A table inside a table: close the current one first.
                     self.event(TreeEventKind::StrayStartTag { tag: "table".into() });
-                    if self.in_table_scope("table") {
+                    if self.in_table_scope(&atom!("table")) {
                         self.pop_through("table");
                         self.reset_insertion_mode();
                         return Ctl::Reprocess(token);
@@ -93,7 +94,7 @@ impl Builder {
                 }
                 "form" => {
                     self.event(TreeEventKind::StrayStartTag { tag: "form".into() });
-                    if !self.stack_has("template") && self.form.is_none() {
+                    if !self.open.has(&atom!("template")) && self.form.is_none() {
                         let id = self.insert_html(tag);
                         self.form = Some(id);
                         self.open.pop();
@@ -104,7 +105,7 @@ impl Builder {
             },
             Token::EndTag(ref tag) => match tag.name.as_str() {
                 "table" => {
-                    if !self.in_table_scope("table") {
+                    if !self.in_table_scope(&atom!("table")) {
                         self.event(TreeEventKind::StrayEndTag { tag: "table".into() });
                         return Ctl::Done;
                     }
@@ -181,14 +182,14 @@ impl Builder {
                 ) =>
             {
                 self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
-                if self.in_table_scope("caption") {
+                if self.in_table_scope(&atom!("caption")) {
                     self.close_caption();
                     return Ctl::Reprocess(token);
                 }
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "table" => {
-                if self.in_table_scope("caption") {
+                if self.in_table_scope(&atom!("caption")) {
                     self.close_caption();
                     return Ctl::Reprocess(token);
                 }
@@ -218,13 +219,13 @@ impl Builder {
     }
 
     fn close_caption(&mut self) {
-        if !self.in_table_scope("caption") {
+        if !self.in_table_scope(&atom!("caption")) {
             self.event(TreeEventKind::StrayEndTag { tag: "caption".into() });
             return;
         }
         self.generate_implied_end_tags(None);
         self.pop_through("caption");
-        super::formatting::clear_to_marker(&mut self.formatting);
+        self.formatting.clear_to_marker();
         self.mode = InsertionMode::InTable;
     }
 
@@ -323,7 +324,7 @@ impl Builder {
                     "caption" | "col" | "colgroup" | "tbody" | "tfoot" | "thead"
                 ) =>
             {
-                if self.any_in_table_scope(&["tbody", "thead", "tfoot"]) {
+                if self.any_in_table_scope(&[atom!("tbody"), atom!("thead"), atom!("tfoot")]) {
                     self.clear_to_table_body_context();
                     self.open.pop();
                     self.mode = InsertionMode::InTable;
@@ -333,7 +334,7 @@ impl Builder {
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "table" => {
-                if self.any_in_table_scope(&["tbody", "thead", "tfoot"]) {
+                if self.any_in_table_scope(&[atom!("tbody"), atom!("thead"), atom!("tfoot")]) {
                     self.clear_to_table_body_context();
                     self.open.pop();
                     self.mode = InsertionMode::InTable;
@@ -361,11 +362,11 @@ impl Builder {
                 self.clear_to_table_row_context();
                 self.insert_html(tag);
                 self.mode = InsertionMode::InCell;
-                self.formatting.push(super::FormatEntry::Marker);
+                self.formatting.push_marker();
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "tr" => {
-                if !self.in_table_scope("tr") {
+                if !self.in_table_scope(&atom!("tr")) {
                     self.event(TreeEventKind::StrayEndTag { tag: "tr".into() });
                     return Ctl::Done;
                 }
@@ -380,7 +381,7 @@ impl Builder {
                     "caption" | "col" | "colgroup" | "tbody" | "tfoot" | "thead" | "tr"
                 ) =>
             {
-                if self.in_table_scope("tr") {
+                if self.in_table_scope(&atom!("tr")) {
                     self.clear_to_table_row_context();
                     self.open.pop();
                     self.mode = InsertionMode::InTableBody;
@@ -390,7 +391,7 @@ impl Builder {
                 Ctl::Done
             }
             Token::EndTag(ref tag) if tag.name == "table" => {
-                if self.in_table_scope("tr") {
+                if self.in_table_scope(&atom!("tr")) {
                     self.clear_to_table_row_context();
                     self.open.pop();
                     self.mode = InsertionMode::InTableBody;
@@ -404,7 +405,7 @@ impl Builder {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                     return Ctl::Done;
                 }
-                if self.in_table_scope("tr") {
+                if self.in_table_scope(&atom!("tr")) {
                     self.clear_to_table_row_context();
                     self.open.pop();
                     self.mode = InsertionMode::InTableBody;
@@ -437,7 +438,7 @@ impl Builder {
                     self.event(TreeEventKind::StrayEndTag { tag: tag.name.to_string() });
                 }
                 self.pop_through(&tag.name);
-                super::formatting::clear_to_marker(&mut self.formatting);
+                self.formatting.clear_to_marker();
                 self.mode = InsertionMode::InRow;
                 Ctl::Done
             }
@@ -455,7 +456,7 @@ impl Builder {
                         | "tr"
                 ) =>
             {
-                if self.any_in_table_scope(&["td", "th"]) {
+                if self.any_in_table_scope(&[atom!("td"), atom!("th")]) {
                     self.close_cell();
                     return Ctl::Reprocess(token);
                 }
@@ -492,7 +493,7 @@ impl Builder {
                 break;
             }
         }
-        super::formatting::clear_to_marker(&mut self.formatting);
+        self.formatting.clear_to_marker();
         self.mode = InsertionMode::InRow;
     }
 
@@ -538,7 +539,7 @@ impl Builder {
                 "select" => {
                     // <select> inside <select> acts like </select>.
                     self.event(TreeEventKind::StrayStartTag { tag: "select".into() });
-                    if self.in_select_scope("select") {
+                    if self.in_select_scope(&atom!("select")) {
                         self.pop_through("select");
                         self.reset_insertion_mode();
                     }
@@ -546,7 +547,7 @@ impl Builder {
                 }
                 "input" | "keygen" | "textarea" => {
                     self.event(TreeEventKind::StrayStartTag { tag: tag.name.to_string() });
-                    if self.in_select_scope("select") {
+                    if self.in_select_scope(&atom!("select")) {
                         self.pop_through("select");
                         self.reset_insertion_mode();
                         return Ctl::Reprocess(token);
@@ -584,7 +585,7 @@ impl Builder {
                     Ctl::Done
                 }
                 "select" => {
-                    if !self.in_select_scope("select") {
+                    if !self.in_select_scope(&atom!("select")) {
                         self.event(TreeEventKind::StrayEndTag { tag: "select".into() });
                         return Ctl::Done;
                     }
@@ -647,7 +648,7 @@ impl Builder {
         self.pop_until_one_of(&["tr", "template", "html"]);
     }
 
-    fn any_in_table_scope(&self, names: &[&str]) -> bool {
+    fn any_in_table_scope(&self, names: &[Atom]) -> bool {
         names.iter().any(|n| self.in_table_scope(n))
     }
 }

@@ -99,6 +99,23 @@ fn active_formatting_reconstructed_across_blocks() {
     assert!(html2.contains("<b>plain</b>"), "{html2}");
 }
 
+#[test]
+fn noahs_ark_keeps_three_equal_entries_per_marker_segment() {
+    // A fourth bare `<b>` drops the earliest entry, so only three are
+    // reconstructed in the next paragraph.
+    assert_eq!(
+        body_html("<p><b><b><b><b>x<p>y"),
+        "<p><b><b><b><b>x</b></b></b></b></p><p><b><b><b>y</b></b></b></p>"
+    );
+    // The `object` marker starts a segment of its own; once it is cleared,
+    // a fourth `<b>` after it again finds three equal entries.
+    assert_eq!(
+        body_html("<p><b><b><b>x<object><b><b><b><b>y</object><b>z<p>w"),
+        "<p><b><b><b>x<object><b><b><b><b>y</b></b></b></b></object><b>z</b></b></b></b></p>\
+         <p><b><b><b>w</b></b></b></p>"
+    );
+}
+
 // ----- head / body events (HF1, HF2, HF3) -----
 
 #[test]
@@ -660,5 +677,340 @@ mod framesets {
         let out = parse_doc("<head><noframes><p>fallback</p></noframes></head>");
         let nf = out.dom.find_html("noframes").unwrap();
         assert_eq!(out.dom.text_content(nf), "<p>fallback</p>");
+    }
+}
+
+// ----- the indexed open-element stack against the spec's walks -----
+
+mod open_index {
+    use super::*;
+    use crate::tags;
+    use crate::tree_builder::open::Kind;
+    use proptest::prelude::*;
+
+    const KINDS: [Kind; 10] = [
+        Kind::DefaultScope,
+        Kind::ButtonScope,
+        Kind::ListItemScope,
+        Kind::TableScope,
+        Kind::SelectScope,
+        Kind::Html,
+        Kind::Foreign,
+        Kind::Special,
+        Kind::ListStop,
+        Kind::Mode,
+    ];
+    const SCOPES: [Kind; 5] = [
+        Kind::DefaultScope,
+        Kind::ButtonScope,
+        Kind::ListItemScope,
+        Kind::TableScope,
+        Kind::SelectScope,
+    ];
+
+    /// Whether an element is of `kind`, restated from the spec's lists.
+    fn is_kind(kind: Kind, ns: Namespace, name: &str) -> bool {
+        let html = ns == Namespace::Html;
+        let scope_boundary = match ns {
+            Namespace::Html => matches!(
+                name,
+                "applet"
+                    | "caption"
+                    | "html"
+                    | "table"
+                    | "td"
+                    | "th"
+                    | "marquee"
+                    | "object"
+                    | "template"
+            ),
+            Namespace::MathMl => {
+                matches!(name, "mi" | "mo" | "mn" | "ms" | "mtext" | "annotation-xml")
+            }
+            Namespace::Svg => matches!(name, "foreignObject" | "desc" | "title"),
+        };
+        match kind {
+            Kind::DefaultScope => scope_boundary,
+            Kind::ButtonScope => scope_boundary || (html && name == "button"),
+            Kind::ListItemScope => scope_boundary || (html && matches!(name, "ol" | "ul")),
+            Kind::TableScope => html && matches!(name, "html" | "table" | "template"),
+            Kind::SelectScope => html && !matches!(name, "optgroup" | "option"),
+            Kind::Html => html,
+            Kind::Foreign => !html,
+            Kind::Special => html && tags::is_special(name),
+            Kind::ListStop => {
+                !html || (tags::is_special(name) && !matches!(name, "address" | "div" | "p"))
+            }
+            Kind::Mode => {
+                html && matches!(
+                    name,
+                    "select"
+                        | "td"
+                        | "th"
+                        | "tr"
+                        | "tbody"
+                        | "thead"
+                        | "tfoot"
+                        | "caption"
+                        | "colgroup"
+                        | "table"
+                        | "head"
+                        | "body"
+                        | "frameset"
+                        | "html"
+                )
+            }
+        }
+    }
+
+    /// §13.2.4.2 as the walk it defines: from the current node down, the
+    /// target answers yes and a boundary of the scope answers no.
+    fn walk_in_scope(b: &Builder, scope: Kind, target: &str) -> bool {
+        for &id in b.open.iter().rev() {
+            let e = b.doc.element(id).expect("open entries are elements");
+            if e.ns == Namespace::Html && e.name == target {
+                return true;
+            }
+            if is_kind(scope, e.ns, &e.name) {
+                return false;
+            }
+        }
+        false
+    }
+
+    /// Names the builder asks about, boundaries, foreign names and names
+    /// that are never open, static and dynamic.
+    const TARGETS: &[&str] = &[
+        "a",
+        "address",
+        "applet",
+        "b",
+        "body",
+        "button",
+        "caption",
+        "dd",
+        "div",
+        "dt",
+        "form",
+        "h1",
+        "h2",
+        "h3",
+        "h4",
+        "h5",
+        "h6",
+        "html",
+        "li",
+        "marquee",
+        "nobr",
+        "object",
+        "ol",
+        "optgroup",
+        "option",
+        "p",
+        "ruby",
+        "select",
+        "span",
+        "table",
+        "tbody",
+        "td",
+        "template",
+        "tfoot",
+        "th",
+        "thead",
+        "title",
+        "tr",
+        "ul",
+        "mi",
+        "desc",
+        "foreignobject",
+        "svg",
+        "math",
+        "g",
+        "wibble",
+        "x-y",
+    ];
+
+    fn assert_index_agrees(b: &Builder, input: &str) {
+        let element = |id| b.doc.element(id).expect("open entries are elements");
+        for kind in KINDS {
+            let topmost =
+                b.open.iter().rposition(|&id| is_kind(kind, element(id).ns, &element(id).name));
+            assert_eq!(b.open.topmost_of(kind), topmost, "topmost {kind:?} on {input:?}");
+        }
+        for name in TARGETS {
+            let target = Atom::from_name(name);
+            for scope in SCOPES {
+                assert_eq!(
+                    b.open.in_scope(scope, &target),
+                    walk_in_scope(b, scope, name),
+                    "{scope:?} of {name} on {input:?}"
+                );
+            }
+            let topmost = b.open.iter().rposition(|&id| b.doc.is_html(id, name));
+            assert_eq!(b.open.topmost(&target), topmost, "topmost {name} on {input:?}");
+            assert_eq!(b.open.has(&target), topmost.is_some());
+            let foreign = b.open.iter().rposition(|&id| {
+                element(id).ns != Namespace::Html && element(id).name.eq_ignore_ascii_case(name)
+            });
+            assert_eq!(b.open.topmost_foreign(&target), foreign, "foreign {name} on {input:?}");
+        }
+        for (i, &id) in b.open.iter().enumerate() {
+            assert_eq!(b.open.position(id), Some(i), "position on {input:?}");
+        }
+        let outermost = b.open.iter().map(|&id| element(id).ns).find(|&ns| ns != Namespace::Html);
+        assert_eq!(b.open.outermost_foreign_ns(), outermost, "outermost foreign on {input:?}");
+    }
+
+    /// Run the parse loop of `run_to_completion`, checking the index after
+    /// every token.
+    fn check(input: &str, context: Option<&str>) {
+        let mut tok = Tokenizer::new(input);
+        let mut b = match context {
+            Some(ctx) => {
+                tok.apply_default_feedback(ctx);
+                Builder::new_fragment(ctx)
+            }
+            None => Builder::new(),
+        };
+        loop {
+            b.token_offset = tok.position();
+            let t = tok.next_token();
+            let done = b.process(t, &mut tok);
+            tok.set_allow_cdata(b.current_is_foreign());
+            assert_index_agrees(&b, input);
+            if done {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn index_agrees_with_the_walk_on_the_dat_fixtures() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let mut cases = 0;
+        for entry in std::fs::read_dir(dir).expect("fixtures directory") {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("dat") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for block in text.split("#data\n").skip(1) {
+                let data = block.split("\n#").next().unwrap_or("");
+                check(data, None);
+                for ctx in ["div", "td", "select", "table", "template"] {
+                    check(data, Some(ctx));
+                }
+                cases += 1;
+            }
+        }
+        assert!(cases > 80, "only {cases} .dat cases found");
+    }
+
+    #[test]
+    fn index_agrees_with_the_walk_on_deep_shapes() {
+        let n = 150;
+        let shapes: Vec<String> = vec![
+            "<div>".repeat(n),
+            format!("<p>{}", "<div>".repeat(n)),
+            "<div><form>".repeat(n),
+            (0..n).map(|i| format!("<b data-k={i}>x")).collect(),
+            "<b>x".repeat(n),
+            "<table><tr><td>".repeat(n),
+            format!("<svg>{}", "<g>".repeat(n)),
+            "<table><tr><td><select><option>x".repeat(n),
+            "<template>".repeat(n),
+            "<ul><li><button><ol><li>".repeat(n / 5),
+            "<a><div><i><span>x</a>y</i>".repeat(n / 5),
+            "<svg><desc><math><mi><table><caption><object>".repeat(n / 7),
+            format!("{}{}", "<span>".repeat(n), "<li></li><dd><dt></x-y></em>".repeat(n / 5)),
+            format!("{}{}", "<div>".repeat(n), "<table></table>".repeat(n / 5)),
+            format!(
+                "<svg>{}{}",
+                "<g><foreignObject><x-y>".repeat(n / 3),
+                "</x></G></x-y>".repeat(n / 5)
+            ),
+        ];
+        for shape in &shapes {
+            check(shape, None);
+        }
+    }
+
+    fn tag_soup() -> impl Strategy<Value = String> {
+        let piece = prop_oneof![
+            Just("<div>"),
+            Just("</div>"),
+            Just("<p>"),
+            Just("</p>"),
+            Just("<button>"),
+            Just("</button>"),
+            Just("<ul>"),
+            Just("<ol>"),
+            Just("<li>"),
+            Just("</li>"),
+            Just("<dd>"),
+            Just("<dt>"),
+            Just("<table>"),
+            Just("</table>"),
+            Just("<caption>"),
+            Just("<tr>"),
+            Just("<td>"),
+            Just("<th>"),
+            Just("</td>"),
+            Just("<tbody>"),
+            Just("<select>"),
+            Just("</select>"),
+            Just("<option>"),
+            Just("<optgroup>"),
+            Just("<template>"),
+            Just("</template>"),
+            Just("<form>"),
+            Just("</form>"),
+            Just("<a>"),
+            Just("</a>"),
+            Just("<b>"),
+            Just("</b>"),
+            Just("<i>"),
+            Just("</i>"),
+            Just("<nobr>"),
+            Just("<object>"),
+            Just("</object>"),
+            Just("<applet>"),
+            Just("<marquee>"),
+            Just("<h1>"),
+            Just("</h2>"),
+            Just("<ruby>"),
+            Just("<rt>"),
+            Just("<svg>"),
+            Just("</svg>"),
+            Just("<math>"),
+            Just("<mi>"),
+            Just("<mtext>"),
+            Just("<foreignObject>"),
+            Just("<desc>"),
+            Just("<title>"),
+            Just("<g>"),
+            Just("<annotation-xml encoding=text/html>"),
+            Just("<img>"),
+            Just("<wibble>"),
+            Just("</wibble>"),
+            Just("<body>"),
+            Just("</body>"),
+            Just("<html>"),
+            Just("<head>"),
+            Just("<frameset>"),
+            Just("x"),
+            Just(" "),
+        ];
+        proptest::collection::vec(piece, 0..60).prop_map(|v| v.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn index_agrees_with_the_walk_on_tag_soup(input in tag_soup()) {
+            check(&input, None);
+            check(&input, Some("td"));
+        }
     }
 }

@@ -18,9 +18,18 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 /// Minimal HTTP/1.1 client: one request on a fresh connection,
 /// `Connection: close`, returns (status line, lowercased header block, body).
 fn roundtrip(addr: &str, raw_head_and_body: &[u8]) -> (String, String, String) {
+    roundtrip_within(addr, raw_head_and_body, TIMEOUT)
+}
+
+/// [`roundtrip`] with a caller-chosen read/write timeout.
+fn roundtrip_within(
+    addr: &str,
+    raw_head_and_body: &[u8],
+    timeout: Duration,
+) -> (String, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
-    stream.set_write_timeout(Some(TIMEOUT)).unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    stream.set_write_timeout(Some(timeout)).unwrap();
     stream.write_all(raw_head_and_body).expect("write request");
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
@@ -32,6 +41,16 @@ fn roundtrip(addr: &str, raw_head_and_body: &[u8]) -> (String, String, String) {
 }
 
 fn post(addr: &str, path: &str, content_type: &str, body: &[u8]) -> (String, String, String) {
+    post_within(addr, path, content_type, body, TIMEOUT)
+}
+
+fn post_within(
+    addr: &str,
+    path: &str,
+    content_type: &str,
+    body: &[u8],
+    timeout: Duration,
+) -> (String, String, String) {
     let mut req = format!(
         "POST {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
          content-type: {content_type}\r\ncontent-length: {}\r\n\r\n",
@@ -39,7 +58,7 @@ fn post(addr: &str, path: &str, content_type: &str, body: &[u8]) -> (String, Str
     )
     .into_bytes();
     req.extend_from_slice(body);
-    roundtrip(addr, &req)
+    roundtrip_within(addr, &req, timeout)
 }
 
 fn start(opts: ServeOptions) -> (hv_server::Server, String) {
@@ -240,6 +259,31 @@ fn deeply_nested_fix_answers_and_server_survives() {
     let healthz = b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n";
     let (status, _, body) = roundtrip(&addr, healthz);
     assert!(status.contains("200"), "healthz after deep fix: {status}");
+    assert!(body.contains("ok"), "healthz body: {body}");
+
+    server.shutdown();
+}
+
+/// A body just under the 1 MiB cap of nothing but nested `<div>` parses in
+/// linear time: `/v1/check` and `/v1/fix` both answer well within two
+/// minutes (an open-element walk per start tag took minutes for the check
+/// alone), and the server stays up.
+#[test]
+fn megabyte_of_nested_divs_is_checked_and_fixed() {
+    let (server, addr) = start(ServeOptions::new().addr("127.0.0.1:0").threads(1).queue_depth(4));
+
+    let deep = "<div>".repeat(200_000);
+    assert_eq!(deep.len(), 1_000_000);
+    let limit = Duration::from_secs(120);
+    for path in ["/v1/check", "/v1/fix"] {
+        let (status, _, body) = post_within(&addr, path, "text/html", deep.as_bytes(), limit);
+        assert!(status.contains("200"), "{path} on 1 MB of nesting: {status}");
+        assert!(body.starts_with('{'), "{path} body: {}", &body[..body.len().min(200)]);
+    }
+
+    let healthz = b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n";
+    let (status, _, body) = roundtrip(&addr, healthz);
+    assert!(status.contains("200"), "healthz after 1 MB of nesting: {status}");
     assert!(body.contains("ok"), "healthz body: {body}");
 
     server.shutdown();
