@@ -9,10 +9,14 @@
 //!
 //! * [`checkers`] — the pre-fusion battery: twenty independent
 //!   full-context scans;
-//! * [`aggregate`] — the per-query folds, each re-scanning the store.
+//! * [`aggregate`] — the per-query folds, each re-scanning the store;
+//! * [`auxstudies`] — the §5.2 long-tail comparison re-checking every page
+//!   of both populations, where the shipped study reads the popular side
+//!   from the store.
 //!
 //! Only `hv-fuzz`, the benches and the root package's tests depend on this
 //! crate; CI checks that no shipped library does.
 
 pub mod aggregate;
+pub mod auxstudies;
 pub mod checkers;

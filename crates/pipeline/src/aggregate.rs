@@ -12,6 +12,7 @@
 //! asserted by that crate's tests, the root proptest suite, and the
 //! golden migration test.
 
+use crate::auxstudies::AuxStudies;
 use crate::format::{DroppedSegment, LoadOptions, SegmentSummary};
 use crate::store::{LoadedStore, ResultStore, StoreFormat};
 use hv_core::{HvError, ProblemGroup, ViolationKind};
@@ -21,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Number of violation kinds (bitmask width).
 const KINDS: usize = ViolationKind::ALL.len();
@@ -399,6 +401,8 @@ pub struct IndexedStore {
     pub segments: Vec<SegmentSummary>,
     /// Segments a partial load dropped (empty unless `allow_partial`).
     pub dropped: Vec<DroppedSegment>,
+    /// The §5.1/§5.2 studies, computed on first use ([`IndexedStore::aux`]).
+    aux: OnceLock<AuxStudies>,
 }
 
 impl Deref for IndexedStore {
@@ -414,7 +418,14 @@ impl IndexedStore {
     pub fn new(store: ResultStore) -> Self {
         let index = AggregateIndex::build(&store);
         let segments = SegmentSummary::derive(&store);
-        IndexedStore { store, index, format: None, segments, dropped: Vec::new() }
+        IndexedStore {
+            store,
+            index,
+            format: None,
+            segments,
+            dropped: Vec::new(),
+            aux: OnceLock::new(),
+        }
     }
 
     /// Load (sniffing v0/v1) and index in one step, strictly.
@@ -436,7 +447,14 @@ impl IndexedStore {
             format: Some(loaded.format),
             segments: loaded.segments,
             dropped: loaded.dropped,
+            aux: OnceLock::new(),
         }
+    }
+
+    /// The §5.1/§5.2 auxiliary studies of this store, computed on the
+    /// first call and shared by every later one.
+    pub fn aux(&self) -> &AuxStudies {
+        self.aux.get_or_init(|| AuxStudies::compute(&self.store))
     }
 
     /// The underlying store, for callers that need to mutate or persist.
@@ -445,7 +463,8 @@ impl IndexedStore {
     }
 }
 
-fn percent(part: usize, whole: usize) -> f64 {
+/// `100 · part / whole`, 0 for an empty whole.
+pub(crate) fn percent(part: usize, whole: usize) -> f64 {
     if whole == 0 {
         0.0
     } else {

@@ -1,16 +1,51 @@
-//! The paper's two side analyses, run end to end.
+//! The paper's two side analyses, computed once per store.
 //!
 //! * [`dynamic_study`] — §5.1: check the dynamically loaded fragments of
 //!   the top-K domains in the 2021 snapshot (the paper used the top 1K in
 //!   July 2021).
 //! * [`longtail_study`] — §5.2: compare a random long-tail sample against
 //!   the popular universe on violation prevalence and per-domain counts.
+//!   The popular side is what the store already measured; the long tail is
+//!   scanned by the engine as a `LongtailSample` page source.
+//! * [`AuxStudies`] — both, sized from the store's universe; an
+//!   [`IndexedStore`](crate::IndexedStore) computes them once, on first use.
 
+use crate::aggregate::percent;
+use crate::outcome::ErrorClass;
+use crate::run::{scan_snapshots, Listing, PageSource, ScanOptions, Slot};
+use crate::store::ResultStore;
 use hv_core::{Battery, ViolationKind};
 use hv_corpus::auxstudies::{dynamic_fragments, longtail_snapshot};
-use hv_corpus::{Archive, Snapshot};
+use hv_corpus::htmlgen::page_url;
+use hv_corpus::{Archive, CorpusConfig, DomainSnapshot, Snapshot};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// §5.2's sample per population: 10% of the top list, between 50 and 500.
+pub fn longtail_sample(domains: usize) -> usize {
+    (domains / 10).clamp(50, 500)
+}
+
+/// Both auxiliary studies of one store.
+#[derive(Debug)]
+pub struct AuxStudies {
+    pub dynamic: DynamicStudy,
+    pub longtail: LongtailStudy,
+}
+
+impl AuxStudies {
+    /// Run both studies over the archive the store's (seed, scale)
+    /// describes; §5.2 compares in the 2021 snapshot.
+    pub(crate) fn compute(store: &ResultStore) -> Self {
+        let archive = Archive::new(CorpusConfig { seed: store.seed, scale: store.scale });
+        let domains = archive.domains().len();
+        AuxStudies {
+            // The top 5% (50 to 1,000 domains), 30 pages each.
+            dynamic: dynamic_study(&archive, (domains / 20).clamp(50, 1000), 30),
+            longtail: longtail_study(&archive, store, longtail_sample(domains), Snapshot::ALL[6]),
+        }
+    }
+}
 
 /// §5.1 results.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,29 +65,23 @@ pub struct DynamicStudy {
 /// Run the §5.1 dynamic-content pre-study.
 pub fn dynamic_study(archive: &Archive, top_k: usize, pages_per_domain: usize) -> DynamicStudy {
     let snap = Snapshot::from_year(2021).expect("2021 snapshot");
-    let mut domains = 0usize;
-    let mut fragments = 0usize;
-    let mut violating = 0usize;
+    let (mut domains, mut fragments, mut violating) = (0, 0, 0);
     let mut per_kind: BTreeMap<ViolationKind, usize> = BTreeMap::new();
     // One battery for the whole study; fragments are checked in `<div>`
     // context, like the paper's DOM-subtree extraction.
     let mut battery = Battery::full();
     for d in archive.domains().iter().take(top_k) {
-        let Some(cdx) = archive.cdx_lookup(d, snap) else { continue };
-        if !cdx.snapshot.utf8_ok {
+        let Some(cdx) = archive.cdx_lookup(d, snap).filter(|c| c.snapshot.utf8_ok) else {
             continue;
-        }
+        };
         domains += 1;
-        let mut domain_kinds: Vec<ViolationKind> = Vec::new();
+        let mut domain_kinds = BTreeSet::new();
         for page in 0..cdx.snapshot.page_count.min(pages_per_domain) {
             for frag in dynamic_fragments(archive.cfg.seed, &cdx.snapshot, page) {
                 fragments += 1;
-                let report = battery.run_fragment(&frag, "div");
-                domain_kinds.extend(report.kinds());
+                domain_kinds.extend(battery.run_fragment(&frag, "div").kinds());
             }
         }
-        domain_kinds.sort_unstable();
-        domain_kinds.dedup();
         if !domain_kinds.is_empty() {
             violating += 1;
         }
@@ -62,16 +91,11 @@ pub fn dynamic_study(archive: &Archive, top_k: usize, pages_per_domain: usize) -
     }
     let mut kind_counts: Vec<(ViolationKind, usize)> = per_kind.into_iter().collect();
     kind_counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    DynamicStudy {
-        domains,
-        fragments,
-        violating_share: if domains > 0 { 100.0 * violating as f64 / domains as f64 } else { 0.0 },
-        kind_counts,
-    }
+    DynamicStudy { domains, fragments, violating_share: percent(violating, domains), kind_counts }
 }
 
 /// §5.2 results: popular vs. long tail in one snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LongtailStudy {
     pub snapshot: String,
     pub popular_domains: usize,
@@ -87,113 +111,111 @@ pub struct LongtailStudy {
     pub longtail_hf5_share: f64,
 }
 
+impl LongtailStudy {
+    /// Compare two populations in `snap`, given each domain's distinct
+    /// violation kinds.
+    pub fn compare<'a>(
+        snap: Snapshot,
+        popular: impl IntoIterator<Item = &'a BTreeSet<ViolationKind>>,
+        longtail: impl IntoIterator<Item = &'a BTreeSet<ViolationKind>>,
+    ) -> Self {
+        let [pop, pop_violating, pop_kinds, pop_hf5] = population(popular);
+        let [tail, tail_violating, tail_kinds, tail_hf5] = population(longtail);
+        let ratio = |a: usize, b: usize| if b == 0 { 0.0 } else { a as f64 / b as f64 };
+        LongtailStudy {
+            snapshot: snap.crawl_id().to_owned(),
+            popular_domains: pop,
+            longtail_domains: tail,
+            popular_violating_share: percent(pop_violating, pop),
+            longtail_violating_share: percent(tail_violating, tail),
+            popular_kinds_per_domain: ratio(pop_kinds, pop_violating),
+            longtail_kinds_per_domain: ratio(tail_kinds, tail_violating),
+            popular_hf5_share: percent(pop_hf5, pop),
+            longtail_hf5_share: percent(tail_hf5, tail),
+        }
+    }
+}
+
+/// One population's `[domains, violating domains, distinct kinds summed
+/// over them, domains with a namespace (HF5) violation]`.
+fn population<'a>(domains: impl IntoIterator<Item = &'a BTreeSet<ViolationKind>>) -> [usize; 4] {
+    let hf5 = |k: &ViolationKind| {
+        matches!(k, ViolationKind::HF5_1 | ViolationKind::HF5_2 | ViolationKind::HF5_3)
+    };
+    domains.into_iter().fold([0; 4], |[n, violating, kinds, hf5_domains], k| {
+        [
+            n + 1,
+            violating + !k.is_empty() as usize,
+            kinds + k.len(),
+            hf5_domains + k.iter().any(hf5) as usize,
+        ]
+    })
+}
+
 /// Run the §5.2 long-tail comparison over `sample` domains per population.
-/// Pages are scanned for the long tail; the popular side reuses the same
-/// scanning path over the archive's top list.
-pub fn longtail_study(archive: &Archive, sample: usize, snap: Snapshot) -> LongtailStudy {
-    let mut battery = Battery::full();
-    // Popular side.
-    let mut pop = PopulationStats::default();
-    for d in archive.domains().iter().take(sample) {
-        let Some(cdx) = archive.cdx_lookup(d, snap) else { continue };
-        if !cdx.snapshot.utf8_ok {
-            continue;
-        }
-        let kinds = scan_snapshot_kinds(archive, &mut battery, &cdx.snapshot);
-        pop.add(&kinds);
-    }
-    // Long-tail side.
-    let mut tail = PopulationStats::default();
-    for i in 0..sample as u64 {
-        let ds = longtail_snapshot(archive.cfg.seed, i, snap, &archive.model);
-        if !ds.utf8_ok {
-            continue;
-        }
-        let kinds = scan_snapshot_kinds(archive, &mut battery, &ds);
-        tail.add(&kinds);
-    }
-    LongtailStudy {
-        snapshot: snap.crawl_id().to_owned(),
-        popular_domains: pop.domains,
-        longtail_domains: tail.domains,
-        popular_violating_share: pop.violating_share(),
-        longtail_violating_share: tail.violating_share(),
-        popular_kinds_per_domain: pop.kinds_per_violating_domain(),
-        longtail_kinds_per_domain: tail.kinds_per_violating_domain(),
-        popular_hf5_share: pop.hf5_share(),
-        longtail_hf5_share: tail.hf5_share(),
-    }
-}
-
-/// Scan all pages of one domain-snapshot and return the distinct kinds.
-fn scan_snapshot_kinds(
+///
+/// The popular side is the top list's first `sample` domains that pass
+/// the CDX UTF-8 filter, with the kinds `store` recorded for them in
+/// `snap`; a domain the store has no record for (a partial or subset
+/// store) is left out. The long tail is scanned as a `LongtailSample`.
+pub fn longtail_study(
     archive: &Archive,
-    battery: &mut Battery,
-    ds: &hv_corpus::DomainSnapshot,
-) -> Vec<ViolationKind> {
-    let mut kinds: Vec<ViolationKind> = Vec::new();
-    for page in 0..ds.page_count.min(100) {
-        let body = archive.fetch_page(ds, page);
-        if let Ok(text) = std::str::from_utf8(&body) {
-            kinds.extend(battery.run_str(text).kinds());
-        }
-    }
-    kinds.sort_unstable();
-    kinds.dedup();
-    kinds
+    store: &ResultStore,
+    sample: usize,
+    snap: Snapshot,
+) -> LongtailStudy {
+    let measured: HashMap<u64, &BTreeSet<ViolationKind>> =
+        store.by_snapshot(snap).map(|r| (r.domain_id, &r.kinds)).collect();
+    let popular = archive.domains().iter().take(sample).filter_map(|d| {
+        archive.model.domain_snapshot(d, snap).filter(|ds| ds.utf8_ok)?;
+        measured.get(&d.id).copied()
+    });
+    let tail = scan_snapshots(&LongtailSample { archive, sample }, &[snap], ScanOptions::new());
+    LongtailStudy::compare(snap, popular, tail.records.iter().map(|r| &r.kinds))
 }
 
-#[derive(Default)]
-struct PopulationStats {
-    domains: usize,
-    violating: usize,
-    total_kinds: usize,
-    hf5_domains: usize,
+/// §5.2's long tail as a page source: `sample` small sites outside the top
+/// list in each snapshot, with their pages generated on demand. Sites that
+/// fail the CDX UTF-8 filter are not listed, as on the popular side.
+struct LongtailSample<'a> {
+    archive: &'a Archive,
+    sample: usize,
 }
 
-impl PopulationStats {
-    fn add(&mut self, kinds: &[ViolationKind]) {
-        self.domains += 1;
-        if !kinds.is_empty() {
-            self.violating += 1;
-            self.total_kinds += kinds.len();
-        }
-        if kinds.iter().any(|k| {
-            matches!(k, ViolationKind::HF5_1 | ViolationKind::HF5_2 | ViolationKind::HF5_3)
-        }) {
-            self.hf5_domains += 1;
-        }
+impl PageSource for LongtailSample<'_> {
+    type Locator = DomainSnapshot;
+
+    fn provenance(&self) -> (u64, f64, usize) {
+        (self.archive.cfg.seed, self.archive.cfg.scale, self.sample)
     }
 
-    fn violating_share(&self) -> f64 {
-        if self.domains == 0 {
-            0.0
-        } else {
-            100.0 * self.violating as f64 / self.domains as f64
-        }
+    fn list(&self, snapshots: &[Snapshot]) -> Listing<DomainSnapshot> {
+        let (seed, model) = (self.archive.cfg.seed, &self.archive.model);
+        let slots = snapshots
+            .iter()
+            .flat_map(|&snap| (0..self.sample as u64).map(move |i| (i, snap)))
+            .map(|(i, snap)| longtail_snapshot(seed, i, snap, model))
+            .filter(|ds| ds.utf8_ok)
+            .map(|ds| Slot {
+                domain_id: ds.domain_id,
+                domain_name: ds.domain_name.clone(),
+                rank: ds.rank,
+                snapshot: ds.snapshot,
+                urls: (0..ds.page_count.min(100)).map(|p| page_url(&ds.domain_name, p)).collect(),
+                locator: ds,
+            })
+            .collect();
+        Listing { slots, quarantine: Vec::new() }
     }
 
-    fn kinds_per_violating_domain(&self) -> f64 {
-        if self.violating == 0 {
-            0.0
-        } else {
-            self.total_kinds as f64 / self.violating as f64
-        }
-    }
-
-    fn hf5_share(&self) -> f64 {
-        if self.domains == 0 {
-            0.0
-        } else {
-            100.0 * self.hf5_domains as f64 / self.domains as f64
-        }
+    fn read(&self, slot: &Slot<DomainSnapshot>, page: usize) -> Result<Vec<u8>, ErrorClass> {
+        Ok(self.archive.fetch_page(&slot.locator, page))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hv_corpus::CorpusConfig;
 
     fn archive() -> Archive {
         Archive::new(CorpusConfig { seed: 0x48_56_31, scale: 0.01 })
@@ -233,7 +255,9 @@ mod tests {
     #[test]
     fn longtail_study_matches_section_5_2() {
         let a = archive();
-        let study = longtail_study(&a, 120, Snapshot::ALL[6]);
+        let snap = Snapshot::ALL[6];
+        let store = scan_snapshots(&a, &[snap], ScanOptions::new().threads(2));
+        let study = longtail_study(&a, &store, 120, snap);
         assert!(study.popular_domains > 80);
         assert!(study.longtail_domains > 80);
         // Same general pattern: both populations mostly violate…
@@ -247,5 +271,22 @@ mod tests {
         );
         // …and the complex-SVG namespace issues concentrate on top sites.
         assert!(study.popular_hf5_share >= study.longtail_hf5_share);
+    }
+
+    /// A store that covers only part of the top list leaves the missing
+    /// domains out of the popular side instead of counting them clean.
+    #[test]
+    fn popular_side_skips_domains_the_store_lacks() {
+        let a = Archive::new(CorpusConfig { seed: 5, scale: 0.002 });
+        let snap = Snapshot::ALL[6];
+        let mut store = scan_snapshots(&a, &[snap], ScanOptions::new().threads(2));
+        let full = longtail_study(&a, &store, 50, snap);
+        let dropped = store.records.len() / 2;
+        store.records.truncate(store.records.len() - dropped);
+        let partial = longtail_study(&a, &store, 50, snap);
+        assert!(partial.popular_domains < full.popular_domains);
+        assert!(partial.popular_domains > 0);
+        assert_eq!(partial.longtail_domains, full.longtail_domains);
+        assert_eq!(partial.longtail_kinds_per_domain, full.longtail_kinds_per_domain);
     }
 }

@@ -27,6 +27,9 @@
 //!   Tables 1–2, Figures 8–10 and 16–21 folded in a single O(records)
 //!   sweep. The original per-query scans are the equivalence oracle and
 //!   live in the test-support crate as `hv_oracle::aggregate`.
+//! * [`auxstudies`] — the §5.1/§5.2 side analyses, computed once per
+//!   [`IndexedStore`]: the popular side of §5.2 reads the store's own
+//!   records, the long-tail sample runs through the scan engine.
 //! * [`outcome`] — the failure model: every listed page is analyzed,
 //!   analyzed after retries (degraded), or quarantined with a structured
 //!   [`ErrorClass`]; never a dead worker, never a silent skip.
@@ -60,6 +63,7 @@ pub mod store;
 pub mod warcscan;
 
 pub use aggregate::{AggregateIndex, IndexedStore};
+pub use auxstudies::AuxStudies;
 pub use chaos::{run_chaos, ChaosReport};
 pub use format::{
     scan_prefix, DroppedSegment, FailingWriter, FileSink, LoadOptions, PrefixState, Resumed,

@@ -259,7 +259,7 @@ impl ScanMetrics {
             ));
         }
         if !self.battery.per_check.is_empty() {
-            s.push_str("  per-check: pages fired / findings / dispatches / mean ns\n");
+            s.push_str("  per-check: pages fired / findings / dispatches / mean ns/page\n");
             for (kind, st) in &self.battery.per_check {
                 s.push_str(&format!(
                     "    {:<6} {:>8} {:>9} {:>10} {:>9.0}\n",

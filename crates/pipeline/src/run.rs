@@ -52,8 +52,9 @@ pub struct ScanOptions {
     /// Print progress to stderr every this many pages (0 = silent).
     pub progress_every: usize,
     /// Collect [`ScanMetrics`] (per-phase timings, per-check fire counts)
-    /// and embed them in the store. Adds two clock reads per page plus one
-    /// per rule execution.
+    /// and embed them in the store. Adds six clock reads per page for the
+    /// phase timers plus two per handler dispatch, and a corpus page makes
+    /// about 300 dispatches.
     pub collect_metrics: bool,
     /// Deterministic fault injection over the read path (`None` = clean
     /// scan). See [`hv_corpus::faults`].

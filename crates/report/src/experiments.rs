@@ -11,7 +11,7 @@ use hv_corpus::calibration::{
     PAPER_NEWLINE_URL_PCT, PAPER_UNION_ANY_PCT,
 };
 use hv_corpus::snapshots::{Snapshot, TABLE2_TARGETS, YEARS};
-use hv_pipeline::IndexedStore;
+use hv_pipeline::{AuxStudies, IndexedStore};
 
 /// Table 1: the violation list (static — the taxonomy itself).
 pub fn table1() -> String {
@@ -313,21 +313,21 @@ pub fn churn(store: &IndexedStore) -> String {
     )
 }
 
-/// §5.1/§5.2: the auxiliary studies (dynamic content and long tail).
-/// Rebuilds the archive from the store's (seed, scale) provenance and runs
-/// both side analyses.
+/// §5.1/§5.2: the auxiliary studies (dynamic content and long tail), as
+/// computed once per store by [`IndexedStore::aux`].
 pub fn aux_studies(store: &IndexedStore) -> String {
-    let archive =
-        hv_corpus::Archive::new(hv_corpus::CorpusConfig { seed: store.seed, scale: store.scale });
-    let top_k = (archive.domains().len() / 20).clamp(50, 1000);
-    let dynamic = hv_pipeline::auxstudies::dynamic_study(&archive, top_k, 30);
-    let mut s = String::from("Auxiliary studies (§5.1 / §5.2)\n\n");
-    s.push_str(&format!(
-        "§5.1 dynamically loaded content (top {} domains, 2021):\n\
+    let AuxStudies { dynamic, longtail: lt } = store.aux();
+    format!(
+        "Auxiliary studies (§5.1 / §5.2)\n\n\
+         §5.1 dynamically loaded content (top {} domains, 2021):\n\
          \x20 fragments checked:          {}\n\
          \x20 domains with ≥1 violation:  {:.1}%   (paper: \"more than 60%\")\n\
          \x20 top fragment violations:    {}\n\
-         \x20 math-related violations:    {}   (paper: \"hardly appear\")\n\n",
+         \x20 math-related violations:    {}   (paper: \"hardly appear\")\n\n\
+         §5.2 less popular websites ({} per population, {}):\n\
+         \x20 violating share:   popular {:.1}%  vs  long tail {:.1}%\n\
+         \x20 kinds per domain:  popular {:.2}  vs  long tail {:.2}   (paper: popular sites violate more)\n\
+         \x20 HF5 (namespace):   popular {:.1}%  vs  long tail {:.1}%   (paper: complex SVGs on top sites)\n",
         dynamic.domains,
         dynamic.fragments,
         dynamic.violating_share,
@@ -341,17 +341,8 @@ pub fn aux_studies(store: &IndexedStore) -> String {
         dynamic
             .kind_counts
             .iter()
-            .find(|(k, _)| *k == ViolationKind::HF5_3)
-            .map(|(_, c)| *c)
+            .find_map(|&(k, c)| (k == ViolationKind::HF5_3).then_some(c))
             .unwrap_or(0),
-    ));
-    let sample = (archive.domains().len() / 10).clamp(50, 500);
-    let lt = hv_pipeline::auxstudies::longtail_study(&archive, sample, Snapshot::ALL[6]);
-    s.push_str(&format!(
-        "§5.2 less popular websites ({} per population, {}):\n\
-         \x20 violating share:   popular {:.1}%  vs  long tail {:.1}%\n\
-         \x20 kinds per domain:  popular {:.2}  vs  long tail {:.2}   (paper: popular sites violate more)\n\
-         \x20 HF5 (namespace):   popular {:.1}%  vs  long tail {:.1}%   (paper: complex SVGs on top sites)\n",
         lt.popular_domains.min(lt.longtail_domains),
         lt.snapshot,
         lt.popular_violating_share,
@@ -360,33 +351,18 @@ pub fn aux_studies(store: &IndexedStore) -> String {
         lt.longtail_kinds_per_domain,
         lt.popular_hf5_share,
         lt.longtail_hf5_share,
-    ));
-    s
+    )
 }
 
-/// The full report: every experiment in order.
+/// The full report: every other experiment of [`EXPERIMENTS`], in order.
 pub fn full_report(store: &IndexedStore) -> String {
-    let parts = [
-        table1(),
-        table2(store),
-        fig8(store),
-        fig9(store),
-        fig10(store),
-        fig16(store),
-        fig17(store),
-        fig18(store),
-        fig19(store),
-        fig20(store),
-        fig21(store),
-        stats(store),
-        autofix(store),
-        mitigations(store),
-        rollout(store),
-        churn(store),
-        aux_studies(store),
-    ];
-    parts.join("\n================================================================\n\n")
+    let parts = EXPERIMENTS.iter().filter(|&&name| name != "all");
+    parts.filter_map(|name| render(name, store)).collect::<Vec<_>>().join(SECTION_RULE)
 }
+
+/// What separates two experiments in the full report.
+pub const SECTION_RULE: &str =
+    "\n================================================================\n\n";
 
 /// Names accepted by [`render`], in presentation order. This is the single
 /// source of truth for "what experiments exist" — the CLI usage text and

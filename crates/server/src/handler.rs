@@ -350,6 +350,31 @@ mod tests {
         assert!(dto.experiments.contains(&"fig8".to_owned()));
     }
 
+    /// The §5.1/§5.2 studies are computed once per loaded store: repeated
+    /// `aux` requests and the `all` report share one computation.
+    #[test]
+    fn aux_report_is_computed_once_and_shared_with_all() {
+        let archive = hv_corpus::Archive::new(hv_corpus::CorpusConfig { seed: 7, scale: 0.002 });
+        let snaps = [hv_corpus::Snapshot::ALL[6]];
+        let opts = hv_pipeline::ScanOptions::new().threads(2);
+        let mut h = handler(Some(hv_pipeline::scan_snapshots(&archive, &snaps, opts)));
+        let get = |h: &mut Handler, path: &str| {
+            let r = h.handle(&request("GET", path, b"", None));
+            assert_eq!(r.response.status, 200, "{path}");
+            body_str(&r.response)
+        };
+        let first = get(&mut h, "/v1/report/aux");
+        let store = h.shared.store.as_ref().unwrap();
+        let computed: *const hv_pipeline::AuxStudies = store.aux();
+        let second = get(&mut h, "/v1/report/aux");
+        assert_eq!(first, second);
+        let all = get(&mut h, "/v1/report/all");
+        let store = h.shared.store.as_ref().unwrap();
+        assert!(std::ptr::eq(computed, store.aux()), "aux was computed again");
+        let last = all.rsplit(hv_report::experiments::SECTION_RULE).next();
+        assert_eq!(last, Some(first.as_str()), "the last block of `all` is `aux`");
+    }
+
     #[test]
     fn unknown_path_404_wrong_method_405() {
         let mut h = handler(None);

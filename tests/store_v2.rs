@@ -62,6 +62,18 @@ fn golden_migration_renders_every_experiment_byte_identical() {
     std::fs::remove_file(&v1_path).ok();
 }
 
+/// The full report on the fixture is pinned byte for byte:
+/// `tests/fixtures/report_all_store_v0.txt` is the output of
+/// `hva report all --store tests/fixtures/store_v0.json`.
+#[test]
+fn full_report_matches_the_golden() {
+    let v0 = IndexedStore::load(Path::new(FIXTURE)).unwrap();
+    let golden = std::fs::read_to_string("tests/fixtures/report_all_store_v0.txt").unwrap();
+    // `hva report` prints the rendering and a newline.
+    let rendered = format!("{}\n", hv_report::render("all", &v0).unwrap());
+    assert!(rendered == golden, "`report all` drifted from the golden:\n{rendered}");
+}
+
 #[test]
 fn migration_to_v1_and_back_is_byte_lossless() {
     let store = ResultStore::load(Path::new(FIXTURE)).unwrap();
